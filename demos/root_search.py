@@ -2,9 +2,10 @@
 
 The divergence defect of the wall-normal/streamwise ansatz is an exactly
 quadratic function of its polynomial coefficients. The search exploits
-that: it probes the pipeline a few hundred times to reconstruct the
-quadratic map, then runs damped Newton iterations on the model and
-verifies every candidate root against the true operators. Run with:
+that: it reconstructs the quadratic map from 231 polarization probes,
+which the pipeline evaluates together in a few row blocks, then runs
+damped Newton iterations on the model and verifies every candidate root
+against the true operators. Run with:
 
     python3 demos/root_search.py
 """

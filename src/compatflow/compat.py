@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import __version__ as _version
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fieldops import (
     DIVFREE_ERROR_RTOL,
     DIVFREE_WARN_RTOL,
@@ -222,6 +222,12 @@ def check(
     fscale = f.max_abs()
     dmax = defect.max_abs()
     dl2 = defect.l2()
+    if not (np.isfinite(fscale) and np.isfinite(dmax)):
+        # NaN compares false against any tolerance, so it would pass as
+        # "compatible"; overflow in the products ends up here too
+        raise NumericalError(
+            f"non-finite result: forcing max-abs {fscale}, defect max-abs {dmax}"
+        )
 
     p = solve_pressure(field)
     tres = tangential_residual(field, p)

@@ -45,7 +45,12 @@ def _num_list(obj, where: str) -> np.ndarray:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
     ):
         raise _bad(where, "expected a non-empty list of numbers")
-    return np.asarray(obj, dtype=float)
+    arr = np.asarray(obj, dtype=float)
+    # json reads NaN, Infinity and out-of-range literals such as 1e400 as
+    # floats; a non-finite profile would slip through every comparison
+    if not np.all(np.isfinite(arr)):
+        raise _bad(where, "numbers must be finite (got NaN or Infinity)")
+    return arr
 
 
 def _check_trig_keys(obj: dict, where: str) -> None:

@@ -149,10 +149,10 @@ class HarmonicScalar:
         return out
 
     def max_abs(self) -> float:
-        m = 0.0
-        for _, (a, b) in self.data.items():
-            m = max(m, a.max_abs, b.max_abs)
-        return m
+        """Largest magnitude over all profiles; NaN if any sample is NaN
+        (np.max propagates it, the builtin max would drop it)."""
+        profiles = [p for pair in self.data.values() for p in pair]
+        return float(np.max([0.0] + [p.max_abs for p in profiles]))
 
     def l2(self) -> float:
         """Volume-mean L2 norm: harmonic orthogonality in theta, Clenshaw-
@@ -239,7 +239,7 @@ class WaveField:
         return (self.u1, self.u2, self.u3)
 
     def max_abs(self) -> float:
-        return max(c.max_abs() for c in self.components)
+        return float(np.max([c.max_abs() for c in self.components]))
 
     def l2(self) -> float:
         return float(np.sqrt(sum(c.l2() ** 2 for c in self.components)))

@@ -51,16 +51,17 @@ def solve_bvp(spec: BVPSpec, grid: ChebGrid) -> YProfile:
 
 
 def _dirichlet(k2, rhs_vals, grid, bc):
+    """All rows of rhs_vals (shape (n,) or (rows, n)) in one solve."""
     n = grid.n
     A = grid.D2 - k2 * np.eye(n)
     b = np.array(rhs_vals, dtype=float)
     A[0] = 0.0
     A[0, 0] = 1.0
-    b[0] = bc[0]
+    b[..., 0] = bc[0]
     A[-1] = 0.0
     A[-1, -1] = 1.0
-    b[-1] = bc[1]
-    return np.linalg.solve(A, b)
+    b[..., -1] = bc[1]
+    return np.linalg.solve(A, b.T).T
 
 
 def _neumann(k2, rhs_vals, grid, bc):

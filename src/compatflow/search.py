@@ -15,10 +15,19 @@ field is linear in the coefficients and the pipeline applies exactly one
 bilinear stage (the advective products). find_compatible therefore probes
 the exact quadratic model once per ansatz (second differences along basis
 directions and pairs) and runs a damped Newton iteration on that model,
-which costs one pipeline evaluation per probe and none per iteration. The
-converged point is then re-verified against the real pipeline. A finite
-difference Jacobian fallback was tried first and stalls around 1e-7
-relative, well short of the target, which motivates the probed model.
+which costs nothing in the pipeline per iteration. The converged point is
+then re-verified against the real pipeline. A finite difference Jacobian
+fallback was tried first and stalls around 1e-7 relative, well short of the
+target, which motivates the probed model.
+
+The probes do not run the pipeline one by one. Profiles carry an optional
+leading row axis, so assemble takes a (rows, m) block of coefficient
+vectors and the unchanged pipeline (forcing, Dirichlet solves, divergence)
+evaluates the whole block at once; the 1 + 2m + m(m-1)/2 probes (231 for
+the default ansatz) go through in a few blocks of PROBE_BLOCK rows. The
+block size is fixed rather than the whole probe set at once: one 231-row
+block is a little faster but holds about four times the intermediate
+arrays, and peak memory is a measured cost of the search.
 """
 
 from __future__ import annotations
@@ -31,10 +40,12 @@ from .compat import forcing
 from .errors import ConfigurationError, DomainError
 from .fieldops import FlowParams, HarmonicScalar, WaveField, divergence
 from .poisson import solve_dudt
-from .spectral import ChebGrid, YProfile, cheb_grid
+from .spectral import ChebGrid, YProfile, cheb_grid, polymul
 
 RESIDUAL_HARMONICS = (1, 2)
 NONTRIVIAL_RTOL = 1e-3
+# probe rows per pipeline evaluation while building the quadratic model
+PROBE_BLOCK = 64
 
 # a degree-4 coefficient set for (1, 1, 80) that sits near (not on) the
 # zero set of the defect; useful as a warm start and as a regression anchor
@@ -85,27 +96,30 @@ class AnsatzSpec:
 
 
 def assemble(spec: AnsatzSpec, coeffs, grid: ChebGrid | None = None) -> WaveField:
-    """Admissible field from a coefficient vector (length spec.ncoeffs)."""
+    """Admissible field from a coefficient vector (length spec.ncoeffs).
+
+    A (rows, spec.ncoeffs) array gives a block of fields in one WaveField
+    whose profiles carry the leading row axis.
+    """
     params = spec.params
     if params.beta == 0:
         raise DomainError("continuity recovery of u3 divides by beta")
     grid = grid or cheb_grid(64)
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (spec.ncoeffs,):
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != spec.ncoeffs:
         raise ConfigurationError(
             f"expected {spec.ncoeffs} coefficients "
             f"({spec.slots} slots x degree {spec.degree}), got shape {coeffs.shape}"
         )
-    chunks = iter(np.split(coeffs, spec.slots))
+    chunks = iter(np.split(coeffs, spec.slots, axis=-1))
 
     def slot(active, weight):
         if not active:
             return YProfile.zero(grid)
-        c = next(chunks)
-        return YProfile.from_poly(grid, np.polynomial.polynomial.polymul(c, weight))
+        return YProfile.from_poly(grid, polymul(next(chunks), weight))
 
     wall1 = np.array([-1.0, 0.0, 1.0])  # (y^2 - 1)
-    wall2 = np.polynomial.polynomial.polymul(wall1, wall1)
+    wall2 = polymul(wall1, wall1)
     a1 = slot(spec.free_u1[0], wall1)
     b1 = slot(spec.free_u1[1], wall1)
     a2 = slot(spec.free_u2[0], wall2)
@@ -121,15 +135,24 @@ def assemble(spec: AnsatzSpec, coeffs, grid: ChebGrid | None = None) -> WaveFiel
     return WaveField(u1, u2, u3, params, grid)
 
 
-def _defect_samples(field: WaveField):
+def _defect_samples(field: WaveField, rows: int | None = None):
+    """Interior defect samples of harmonics 1 and 2, and the forcing
+    max-abs (over all rows).
+
+    For a block from assemble, rows is its row count and the samples come
+    back as (rows, nr). A profile that vanishes in every row of the block
+    is dropped or stored as a single zero row, so the row count is taken
+    from the caller, not from a profile's shape.
+    """
     f = forcing(field)
     defect = divergence(solve_dudt(f))
-    parts = []
-    for j in RESIDUAL_HARMONICS:
-        a, b = defect.get(j)
-        parts.append(a.values[1:-1])
-        parts.append(b.values[1:-1])
-    return np.concatenate(parts), f.max_abs()
+    shape = (field.grid.n - 2,) if rows is None else (rows, field.grid.n - 2)
+    parts = [
+        np.broadcast_to(p.values[..., 1:-1], shape)
+        for j in RESIDUAL_HARMONICS
+        for p in defect.get(j)
+    ]
+    return np.concatenate(parts, axis=-1), f.max_abs()
 
 
 def residual(spec: AnsatzSpec, coeffs, grid: ChebGrid | None = None) -> np.ndarray:
@@ -155,35 +178,34 @@ class SearchResult:
 
 class _QuadraticModel:
     """Exact quadratic model r(c) = r0 + L c + B[c, c] of the defect map,
-    built from polarization probes along the coordinate directions."""
+    built from polarization probes along the coordinate directions.
+
+    The probes 0, +-e_q and e_q + e_p (q < p) are stacked into one array and
+    evaluated PROBE_BLOCK rows per pipeline run (see the module docstring
+    for why the block size is fixed); then
+
+        L[:, q]    = (r(e_q) - r(-e_q)) / 2
+        B[:, q, q] = (r(e_q) + r(-e_q)) / 2 - r0
+        B[:, q, p] = B[:, p, q] = (r(e_q + e_p) - r(e_q) - r(e_p) + r0) / 2
+    """
 
     def __init__(self, spec: AnsatzSpec, grid: ChebGrid):
         m = spec.ncoeffs
-        ev = lambda c: _defect_samples(assemble(spec, c, grid))[0]
-        r0 = ev(np.zeros(m))
-        nr = r0.size
-        L = np.empty((nr, m))
-        B = np.empty((nr, m, m))
-        plus = []
-        for q in range(m):
-            e = np.zeros(m)
-            e[q] = 1.0
-            rp = ev(e)
-            rm = ev(-e)
-            plus.append(rp)
-            L[:, q] = 0.5 * (rp - rm)
-            B[:, q, q] = 0.5 * (rp + rm) - r0
-        for q in range(m):
-            eq = np.zeros(m)
-            eq[q] = 1.0
-            for p in range(q + 1, m):
-                ep = np.zeros(m)
-                ep[p] = 1.0
-                rqp = ev(eq + ep)
-                cross = 0.5 * (rqp - plus[q] - plus[p] + r0)
-                B[:, q, p] = cross
-                B[:, p, q] = cross
-        self.r0, self.L, self.B = r0, L, B
+        eye = np.eye(m)
+        q, p = np.triu_indices(m, k=1)
+        probes = np.vstack([np.zeros((1, m)), eye, -eye, eye[q] + eye[p]])
+        R = np.vstack([
+            _defect_samples(assemble(spec, block, grid), len(block))[0]
+            for block in np.split(probes, range(PROBE_BLOCK, len(probes), PROBE_BLOCK))
+        ])
+        r0, rp, rm, rqp = R[0], R[1 : m + 1], R[m + 1 : 2 * m + 1], R[2 * m + 1 :]
+        diag = np.arange(m)
+        B = np.empty((r0.size, m, m))
+        B[:, diag, diag] = (0.5 * (rp + rm) - r0).T
+        cross = (0.5 * (rqp - rp[q] - rp[p] + r0)).T
+        B[:, q, p] = cross
+        B[:, p, q] = cross
+        self.r0, self.L, self.B = r0, 0.5 * (rp - rm).T, B
 
     def __call__(self, c):
         return self.r0 + self.L @ c + np.einsum("ipq,p,q->i", self.B, c, c)

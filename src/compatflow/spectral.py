@@ -101,14 +101,48 @@ def _clencurt(n: int) -> np.ndarray:
     return w
 
 
+def polyadd(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sum of coefficient arrays (ascending powers on the last axis),
+    broadcast over leading axes; the shorter one is padded with zeros."""
+    d = max(p.shape[-1], q.shape[-1])
+    lead = np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+    out = np.zeros(lead + (d,), dtype=np.result_type(p, q))
+    out[..., : p.shape[-1]] += p
+    out[..., : q.shape[-1]] += q
+    return out
+
+
+def polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of coefficient arrays, broadcast over leading axes: a
+    convolution with one shifted add per coefficient of the shorter one."""
+    if p.shape[-1] < q.shape[-1]:
+        p, q = q, p
+    dp = p.shape[-1]
+    lead = np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+    out = np.zeros(lead + (dp + q.shape[-1] - 1,), dtype=np.result_type(p, q))
+    for i in range(q.shape[-1]):
+        out[..., i : i + dp] += p * q[..., i : i + 1]
+    return out
+
+
+def polyder(p: np.ndarray) -> np.ndarray:
+    """Derivative of a coefficient array; a constant gives one zero."""
+    if p.shape[-1] == 1:
+        return np.zeros_like(p)
+    return p[..., 1:] * np.arange(1, p.shape[-1])
+
+
 @dataclass
 class YProfile:
     """A scalar function of y sampled on a ChebGrid.
 
-    `values` holds the nodal samples (real or complex). When the profile is
-    known to be a polynomial, `poly` carries its coefficients in ascending
-    powers of y; arithmetic propagates the polynomial form where it stays
-    exact and drops it otherwise.
+    `values` holds the nodal samples (real or complex), shape (n,) for one
+    profile or (rows, n) for a block of profiles that share every
+    operation. When the profile is known to be a polynomial, `poly` carries
+    its coefficients in ascending powers of y, shape (d,) or (rows, d);
+    arithmetic propagates the polynomial form where it stays exact and
+    drops it otherwise. Rows broadcast against single profiles, so a block
+    and a single profile go through the same code.
     """
 
     grid: ChebGrid
@@ -122,7 +156,7 @@ class YProfile:
     @classmethod
     def from_poly(cls, grid: ChebGrid, coeffs) -> "YProfile":
         c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        return cls(grid, npoly.polyval(grid.y, c), c)
+        return cls(grid, npoly.polyval(grid.y, c.T), c)
 
     @classmethod
     def from_values(cls, grid: ChebGrid, values) -> "YProfile":
@@ -139,26 +173,28 @@ class YProfile:
 
     @property
     def top(self):
-        """Value at y = +1."""
-        return self.values[0]
+        """Value at y = +1 (one per row)."""
+        return self.values[..., 0]
 
     @property
     def bottom(self):
-        """Value at y = -1."""
-        return self.values[-1]
+        """Value at y = -1 (one per row)."""
+        return self.values[..., -1]
 
     @property
     def max_abs(self) -> float:
+        """Largest magnitude over all samples and rows; NaN if any is NaN."""
         return float(np.max(np.abs(self.values)))
 
     def is_zero(self) -> bool:
+        """True when every sample of every row is zero."""
         return not np.any(self.values)
 
     def __add__(self, other: "YProfile") -> "YProfile":
         self._check(other)
         p = None
         if self.poly is not None and other.poly is not None:
-            p = npoly.polyadd(self.poly, other.poly)
+            p = polyadd(self.poly, other.poly)
         return YProfile(self.grid, self.values + other.values, p)
 
     def __sub__(self, other: "YProfile") -> "YProfile":
@@ -172,7 +208,7 @@ class YProfile:
             self._check(other)
             p = None
             if self.poly is not None and other.poly is not None:
-                p = npoly.polymul(self.poly, other.poly)
+                p = polymul(self.poly, other.poly)
             return YProfile(self.grid, self.values * other.values, p)
         s = complex(other) if np.iscomplexobj(self.values) else float(other)
         p = None if self.poly is None else s * self.poly
@@ -184,18 +220,16 @@ class YProfile:
         """d/dy. Exact polynomial derivative when the form is known,
         collocation derivative otherwise."""
         if self.poly is not None:
-            p = npoly.polyder(self.poly)
-            if p.size == 0:
-                p = np.zeros(1)
-            return YProfile(self.grid, npoly.polyval(self.grid.y, p), p)
-        return YProfile(self.grid, self.grid.D @ self.values)
+            p = polyder(self.poly)
+            return YProfile(self.grid, npoly.polyval(self.grid.y, p.T), p)
+        return YProfile(self.grid, self.values @ self.grid.D.T)
 
     def __call__(self, yq):
         return self.grid.interpolate(self.values, yq)
 
     def integral(self) -> float:
         """Integral over [-1, 1] by Clenshaw-Curtis quadrature."""
-        return self.grid.weights @ self.values
+        return self.values @ self.grid.weights
 
     def strip_poly(self) -> "YProfile":
         """Same samples with the polynomial annotation dropped."""

@@ -10,8 +10,9 @@ the tangential wall residual is not zero but the viscous wall shear
 (1/Re) a''(+-1) of u1 and u3, because the pressure and the advective terms
 vanish, and it is pinned to that closed form. Eigenmode fields (criterion
 6) solve only the linearized balance, so their defect has no part linear
-in the amplitude and an exactly quadratic rest; no finite amplitude passes
-a fixed tolerance, but a small enough one (1e-6 at tol 1e-6) does.
+in the amplitude and an exactly quadratic rest; relative to the forcing
+scale it is about 0.14 times the amplitude, so an amplitude passes only
+below a few times the tolerance (1e-6 at tol 1e-6 does).
 """
 
 import time

@@ -90,6 +90,44 @@ def test_check_malformed_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "+inf", "-inf"])
+def test_check_rejects_non_finite_file(tmp_path, capsys, bad):
+    # u2 cos samples that are all NaN used to load and get "compatible"
+    # with a defect and forcing scale of 0.0
+    g = cf.cheb_grid(16)
+    doc = field_to_dict(cf.example_field(PARAMS, g).strip_poly())
+    doc["harmonics"][0]["u2"]["cos"] = {"values": [bad] * g.n}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "chk"
+    rc = main(["check", str(path), "-o", str(out)])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_check_rejects_overflowing_field(tmp_path, capsys):
+    # finite coefficients whose products overflow inside the forcing
+    doc = {
+        "schema_version": 1,
+        "params": {"alpha": 1.0, "beta": 1.0, "reynolds": 80.0},
+        "n": 32,
+        "harmonics": [{"j": 1,
+                       "u1": {"cos": {"poly": [-1e308, 0.0, 1e308]}},
+                       "u2": {"sin": {"poly": [1.0, 0.0, -2.0, 0.0, 1.0]}}}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "chk"
+    rc = main(["check", str(path), "-o", str(out)])
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_validate_accepts_admissible_field(example_file, capsys):
     rc = main(["validate", str(example_file)])
     assert rc == 0

@@ -70,6 +70,18 @@ def test_check_rejects_inadmissible_input():
         cf.check(bad)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_check_raises_on_nan_profile():
+    # NaN fails every comparison, so without the guard a NaN field passes
+    # admissibility and the tolerance test alike
+    field = cf.example_field(PARAMS, G).strip_poly()
+    a, b = field.u2.get(1)
+    field.u2.put(1, cf.YProfile.from_values(G, np.full(G.n, np.nan)), b)
+    assert np.isnan(field.max_abs())
+    with pytest.raises(cf.NumericalError, match="non-finite"):
+        cf.check(field)
+
+
 def test_report_serializes():
     rep = cf.check(cf.example_field(PARAMS, G))
     doc = rep.to_dict()

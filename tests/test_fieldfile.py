@@ -177,6 +177,18 @@ class TestDiagnostics:
         with pytest.raises(cf.ConfigurationError, match="continuity"):
             load_field(_write(tmp_path, doc))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("key", ["poly", "values"])
+    def test_non_finite_number(self, tmp_path, key, bad):
+        # json writes and reads these as NaN / Infinity / -Infinity
+        data = [0.0] * 8
+        data[3] = bad
+        doc = _base_doc()
+        doc["harmonics"] = [{"j": 1, "u2": {"cos": {key: data}}}]
+        with pytest.raises(cf.ConfigurationError, match=f"u2.cos.{key}.*finite"):
+            load_field(_write(tmp_path, doc))
+
     def test_continuity_completion_requires_beta(self, tmp_path):
         doc = _base_doc()
         doc["params"]["beta"] = 0.0

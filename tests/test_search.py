@@ -1,12 +1,17 @@
 """Ansatz assembly and the root search over its coefficients."""
 
+import math
+
 import numpy as np
 import pytest
 
 import compatflow as cf
+import compatflow.search as search
 from compatflow.search import (
+    PROBE_BLOCK,
     REFERENCE_COEFFS,
     AnsatzSpec,
+    _defect_samples,
     _QuadraticModel,
     assemble,
     find_compatible,
@@ -75,6 +80,80 @@ def test_quadratic_model_reproduces_residual():
         r_true = residual(SPEC, c)
         err = np.max(np.abs(model(c) - r_true))
         assert err < 1e-9 * max(1.0, np.max(np.abs(r_true)))
+
+
+def test_assemble_rejects_bad_block_shape():
+    with pytest.raises(cf.ConfigurationError):
+        assemble(SPEC, np.zeros((3, 7)))
+    with pytest.raises(cf.ConfigurationError):
+        assemble(SPEC, np.zeros((2, 3, SPEC.ncoeffs)))
+
+
+@pytest.mark.parametrize("zero_cols", [None, slice(10, 15), slice(10, 20)],
+                         ids=["random", "u2-cos-zero", "u1-only"])
+def test_block_rows_match_scalar_evaluation(zero_cols):
+    """A block through the batched pipeline gives, row by row, the scalar
+    pipeline's samples. Forcing is bit-identical; the Dirichlet solve with
+    several right-hand sides rounds differently from a single one, so the
+    samples are compared in units of the row's forcing scale (the unit of
+    the search's tolerance). With u2 = 0 in every row (u1-only) every
+    defect harmonic is dropped and the samples broadcast to zeros."""
+    rng = np.random.RandomState(33)
+    C = rng.uniform(-1, 1, (7, SPEC.ncoeffs))
+    if zero_cols is not None:
+        C[:, zero_cols] = 0.0
+    R, _ = _defect_samples(assemble(SPEC, C, G), len(C))
+    assert R.shape == (7, 4 * (G.n - 2))
+    for row, c in zip(R, C):
+        r, fscale = _defect_samples(assemble(SPEC, c, G))
+        assert np.max(np.abs(row - r)) <= 1e-13 * fscale
+
+
+def test_quadratic_model_matches_scalar_polarization():
+    """L and B from the probe blocks equal the polarization formulas
+    evaluated one probe at a time: every diagonal entry and 10 pairs."""
+    model = _QuadraticModel(SPEC, G)
+    m = SPEC.ncoeffs
+    ev = lambda c: residual(SPEC, c, G)
+    eye = np.eye(m)
+    r0 = ev(np.zeros(m))
+    rp = np.array([ev(e) for e in eye])
+    rm = np.array([ev(-e) for e in eye])
+    Lscale, Bscale = np.max(np.abs(model.L)), np.max(np.abs(model.B))
+    assert np.max(np.abs(model.L - 0.5 * (rp - rm).T)) <= 1e-12 * Lscale
+    for q in range(m):
+        diag = 0.5 * (rp[q] + rm[q]) - r0
+        assert np.max(np.abs(model.B[:, q, q] - diag)) <= 1e-12 * Bscale
+    rng = np.random.RandomState(34)
+    for _ in range(10):
+        q, p = sorted(rng.choice(m, 2, replace=False))
+        cross = 0.5 * (ev(eye[q] + eye[p]) - rp[q] - rp[p] + r0)
+        assert np.max(np.abs(model.B[:, q, p] - cross)) <= 1e-12 * Bscale
+        assert np.array_equal(model.B[:, q, p], model.B[:, p, q])
+
+
+def test_model_build_is_batched_and_not_cached(monkeypatch):
+    """Building the model takes a few block evaluations, not one per probe,
+    and a repeated search does the same pipeline work as the first (no
+    model kept across calls)."""
+    calls = []
+    orig = search._defect_samples
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_defect_samples", counting)
+    m = SPEC.ncoeffs
+    nprobes = 1 + 2 * m + m * (m - 1) // 2
+    _QuadraticModel(SPEC, G)
+    assert 1 <= len(calls) <= math.ceil(nprobes / PROBE_BLOCK)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert find_compatible(SPEC, seed=0).success
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_search_seeded_at_reference_root():
