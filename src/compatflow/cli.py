@@ -43,21 +43,28 @@ from .spectral import cheb_grid
 GRID_NX, GRID_NY = 128, 64
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def _write_json(obj: dict, path: str):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows):
+def _format_column(col) -> list[str]:
+    """Shortest round-trip repr of every entry, formatting each distinct
+    number once. Distinct means distinct bits, so -0.0 and 0.0 keep their
+    own text."""
+    bits = np.ascontiguousarray(col, dtype=float).ravel().view(np.int64)
+    uniq, inv = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, uniq.view(float).tolist())), dtype=object)
+    return text[inv].tolist()
+
+
+def _write_csv(path: str, header: list[str], cols):
+    """One line per row of the equal-length columns."""
+    text = [_format_column(c) for c in cols]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*text))
 
 
 def _x_period(params: FlowParams) -> float:
@@ -74,7 +81,7 @@ def _defect_profiles_csv(defect, path: str):
     for j in js:
         a, b = defect.get(j)
         cols += [a.values, b.values]
-    _write_csv(path, header, zip(*cols))
+    _write_csv(path, header, cols)
 
 
 def _defect_grid_csv(defect, params: FlowParams, path: str):
@@ -83,8 +90,7 @@ def _defect_grid_csv(defect, params: FlowParams, path: str):
     y = np.linspace(1.0, -1.0, GRID_NY)
     X, Y = np.meshgrid(x, y)
     vals = defect.evaluate(X, Y, 0.0)
-    rows = zip(X.ravel(), Y.ravel(), vals.ravel())
-    _write_csv(path, ["x", "y", "defect"], rows)
+    _write_csv(path, ["x", "y", "defect"], [X, Y, vals])
 
 
 def _velocity_slices_csv(field: WaveField, path: str):
@@ -94,8 +100,7 @@ def _velocity_slices_csv(field: WaveField, path: str):
     X, Y = np.meshgrid(x, y)
     u2 = field.u2.evaluate(X, Y, 0.0)
     u3 = field.u3.evaluate(X, Y, 0.0)
-    rows = zip(X.ravel(), Y.ravel(), u2.ravel(), u3.ravel())
-    _write_csv(path, ["x", "y", "u2", "u3"], rows)
+    _write_csv(path, ["x", "y", "u2", "u3"], [X, Y, u2, u3])
 
 
 def _field_maxdiff(f1: WaveField, f2: WaveField) -> float:

@@ -171,16 +171,24 @@ class HarmonicScalar:
         return out
 
     def evaluate(self, x, y, z):
-        """Pointwise values at broadcastable coordinate arrays."""
+        """Pointwise values at broadcastable coordinate arrays.
+
+        Each profile is interpolated once per distinct y and gathered back
+        to the points, so a plane of nx * ny points costs ny interpolations.
+        """
         x, y, z = np.broadcast_arrays(
             np.asarray(x, dtype=float),
             np.asarray(y, dtype=float),
             np.asarray(z, dtype=float),
         )
         theta = self.params.alpha * x + self.params.beta * z
+        yu, inv = np.unique(y, return_inverse=True)
+        # numpy < 2 returns a flat inverse
+        inv = inv.reshape(y.shape)
         out = np.zeros(theta.shape)
         for j, (a, b) in self.data.items():
-            out = out + a(y) * np.cos(j * theta) + b(y) * np.sin(j * theta)
+            ay, by = a(yu)[inv], b(yu)[inv]
+            out = out + ay * np.cos(j * theta) + by * np.sin(j * theta)
         return out
 
 

@@ -132,6 +132,14 @@ def polyder(p: np.ndarray) -> np.ndarray:
     return p[..., 1:] * np.arange(1, p.shape[-1])
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    # a NaN profile fails every comparison downstream, so it could pass
+    # the admissibility checks and the verdict alike
+    if not np.all(np.isfinite(a)):
+        raise ConfigurationError(f"profile {what} must be finite (got NaN or Infinity)")
+    return a
+
+
 @dataclass
 class YProfile:
     """A scalar function of y sampled on a ChebGrid.
@@ -155,7 +163,7 @@ class YProfile:
 
     @classmethod
     def from_poly(cls, grid: ChebGrid, coeffs) -> "YProfile":
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+        c = _finite(np.atleast_1d(np.asarray(coeffs, dtype=float)), "coefficients")
         return cls(grid, npoly.polyval(grid.y, c.T), c)
 
     @classmethod
@@ -165,7 +173,7 @@ class YProfile:
             raise ConfigurationError(
                 f"profile needs {grid.n} samples, got shape {v.shape}"
             )
-        return cls(grid, v)
+        return cls(grid, _finite(v, "samples"))
 
     def _check(self, other: "YProfile"):
         if self.grid != other.grid:

@@ -4,14 +4,15 @@ import importlib
 import json
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import compatflow as cf
-from compatflow.cli import main
-from compatflow.fieldfile import field_to_dict, save_field
+from compatflow.cli import _write_csv, main
+from compatflow.fieldfile import field_to_dict, load_field, save_field
 
 PARAMS = cf.FlowParams(1.0, 1.0, 80.0)
 
@@ -47,6 +48,86 @@ def test_example_reruns_are_byte_identical(tmp_path):
                      "--reynolds", "80", "-o", str(out)]) == 0
     for name in ("example_field.json", "example_report.json", "defect_grid.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_check_reruns_are_byte_identical(example_file, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["check", str(example_file), "-o", str(out)]) == 2
+    for name in ("report.json", "defect_profiles.csv", "defect_grid.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_write_csv_matches_row_wise_repr(tmp_path):
+    """The column-wise writer gives the bytes of formatting every entry
+    with repr(float(v)), for repeats, signed zeros and non-finite values."""
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e300, 0.1, 1.0]
+    a = np.concatenate([rng.standard_normal(50), special, special])
+    b = np.concatenate([np.repeat(rng.standard_normal(10), 5), special[::-1], special])
+    ints = np.arange(a.size)
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), ["a", "b", "i"], [a, b.reshape(2, -1), ints])
+    want = "a,b,i\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in zip(a, b, ints)
+    )
+    assert path.read_text() == want
+
+
+def _plane_reference(scalar, x, y):
+    """A harmonic scalar at the points (x, y, z = 0), one point and one
+    barycentric interpolation at a time."""
+    grid, params = scalar.grid, scalar.params
+    out = np.zeros(x.size)
+    for i, (xi, yi) in enumerate(zip(x, y)):
+        theta = params.alpha * xi
+        for j, (a, b) in scalar.items():
+            out[i] += (grid.interpolate(a.values, yi) * np.cos(j * theta)
+                       + grid.interpolate(b.values, yi) * np.sin(j * theta))
+    return out
+
+
+def _assert_column_matches(got, want, name):
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale, name
+
+
+def test_defect_grid_csv_numbers(example_file, tmp_path):
+    """128 x 64 points in the z = 0 plane, x fastest, x over one period
+    without its end point, y from +1 down to -1."""
+    out = tmp_path / "chk"
+    assert main(["check", str(example_file), "-o", str(out)]) == 2
+    lines = (out / "defect_grid.csv").read_text().splitlines()
+    assert lines[0] == "x,y,defect"
+    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert table.shape == (128 * 64, 3)
+    x = np.linspace(0.0, 2.0 * np.pi / PARAMS.alpha, 128, endpoint=False)
+    y = np.linspace(1.0, -1.0, 64)
+    assert np.array_equal(table[:, 0], np.tile(x, 64))
+    assert np.array_equal(table[:, 1], np.repeat(y, 128))
+    defect = cf.check(load_field(example_file)).defect
+    want = _plane_reference(defect, table[:, 0], table[:, 1])
+    _assert_column_matches(table[:, 2], want, "defect")
+
+
+def test_velocity_slices_csv_numbers(tmp_path):
+    """129 x 65 points in the z = 0 plane, x fastest, x over one period
+    including its end point, y from +1 down to -1."""
+    out = tmp_path / "ex"
+    assert main(["example", "--alpha", "1", "--beta", "1", "--reynolds", "80",
+                 "-o", str(out)]) == 0
+    lines = (out / "velocity_slices.csv").read_text().splitlines()
+    assert lines[0] == "x,y,u2,u3"
+    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert table.shape == (129 * 65, 4)
+    x = np.linspace(0.0, 2.0 * np.pi / PARAMS.alpha, 129)
+    y = np.linspace(1.0, -1.0, 65)
+    assert np.array_equal(table[:, 0], np.tile(x, 65))
+    assert np.array_equal(table[:, 1], np.repeat(y, 129))
+    field = cf.example_field(PARAMS, cf.cheb_grid(64))
+    for col, comp in ((2, field.u2), (3, field.u3)):
+        want = _plane_reference(comp, table[:, 0], table[:, 1])
+        _assert_column_matches(table[:, col], want, f"column {col}")
 
 
 def test_check_incompatible_exit_code(example_file, tmp_path, capsys):
@@ -107,8 +188,6 @@ def test_check_rejects_non_finite_file(tmp_path, capsys, bad):
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_check_rejects_overflowing_field(tmp_path, capsys):
     # finite coefficients whose products overflow inside the forcing
     doc = {
@@ -122,9 +201,14 @@ def test_check_rejects_overflowing_field(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "chk"
-    rc = main(["check", str(path), "-o", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["check", str(path), "-o", str(out)])
     assert rc == 1
-    assert "non-finite" in capsys.readouterr().err
+    # one line for the user, not a numpy warning per overflowing operation
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite result") and err.count("\n") == 1, err
+    assert [str(w.message) for w in caught] == []
     assert not (out / "report.json").exists()
 
 
@@ -161,7 +245,6 @@ def test_oss_table_and_mode_field(tmp_path, capsys):
     assert "+0.57643470" in text
     doc = json.loads((out / "oss_modes.json").read_text())
     assert len(doc["modes"]) >= 3
-    from compatflow.fieldfile import load_field
     field = load_field(out / "mode_field.json")
     assert cf.admissibility_violations(field) == []
 
@@ -183,7 +266,6 @@ def test_find_writes_root_field(tmp_path, capsys):
     assert rep["success"] is True
     assert rep["residual_rel"] < 1e-10
     assert len(rep["trace"]) >= 2
-    from compatflow.fieldfile import load_field
     field = load_field(out / "found_field.json")
     assert cf.check(field, tol_rel=1e-8).verdict == "compatible"
 

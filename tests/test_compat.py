@@ -74,9 +74,11 @@ def test_check_rejects_inadmissible_input():
 def test_check_raises_on_nan_profile():
     # NaN fails every comparison, so without the guard a NaN field passes
     # admissibility and the tolerance test alike
+    # from_values rejects NaN samples, so build the profile directly: the
+    # guard in check must hold for a profile that arrives by any route
     field = cf.example_field(PARAMS, G).strip_poly()
     a, b = field.u2.get(1)
-    field.u2.put(1, cf.YProfile.from_values(G, np.full(G.n, np.nan)), b)
+    field.u2.put(1, cf.YProfile(G, np.full(G.n, np.nan)), b)
     assert np.isnan(field.max_abs())
     with pytest.raises(cf.NumericalError, match="non-finite"):
         cf.check(field)

@@ -92,6 +92,67 @@ def test_evaluate_broadcasts():
     assert f.evaluate(X, Y, 0.0).shape == (5, 7)
 
 
+def _pointwise(f, x, y, z):
+    """Reference evaluation: one interpolation per point, no sharing."""
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    out = np.zeros(x.shape)
+    for idx in np.ndindex(x.shape):
+        theta = PARAMS.alpha * x[idx] + PARAMS.beta * z[idx]
+        for j, (a, b) in f.items():
+            out[idx] += a(y[idx]) * np.cos(j * theta) + b(y[idx]) * np.sin(j * theta)
+    return out
+
+
+class TestEvaluate:
+    """evaluate interpolates once per distinct y and gathers; every shape
+    must give what evaluating each point on its own gives."""
+
+    f = random_scalar(PARAMS, GRID, np.random.RandomState(11))
+
+    def close(self, got, want):
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    def test_scalar_inputs(self):
+        got = self.f.evaluate(0.3, -0.45, 1.1)
+        assert np.ndim(got) == 0
+        self.close(got, _pointwise(self.f, 0.3, -0.45, 1.1))
+
+    def test_mixed_broadcast_shapes(self):
+        x = np.linspace(0.0, 3.0, 5)[:, None]
+        y = np.array([0.9, -0.2, 0.9, 0.0, -0.2, 1.0, -1.0])
+        z = np.array([0.0, 0.4, -1.3])[:, None, None]
+        got = self.f.evaluate(x, y, z)
+        assert got.shape == (3, 5, 7)
+        self.close(got, _pointwise(self.f, x, y, z))
+        # the same y in two places gives bit-identical values
+        assert np.array_equal(got[..., 0], got[..., 2])
+
+    def test_nodes_and_walls_reproduce_samples(self):
+        # at x = z = 0 only the cosine slots contribute, with weight 1
+        y = np.concatenate([GRID.y, [1.0, -1.0]])
+        got = self.f.evaluate(0.0, y, 0.0)
+        want = np.zeros(GRID.n)
+        for _, (a, b) in self.f.items():
+            want = want + a.values * 1.0 + b.values * 0.0
+        assert np.array_equal(got[: GRID.n], want)
+        assert got[-2] == want[0] and got[-1] == want[-1]
+
+    def test_all_distinct_y(self):
+        rng = np.random.RandomState(12)
+        x = rng.uniform(0.0, 6.0, 40)
+        y = rng.uniform(-1.0, 1.0, 40)
+        assert np.unique(y).size == y.size
+        self.close(self.f.evaluate(x, y, 0.25), _pointwise(self.f, x, y, 0.25))
+
+    @pytest.mark.parametrize("y", [1.0 + 1e-12, -1.5, [0.2, np.nextafter(-1.0, -2.0)]],
+                             ids=["above", "below", "one-of-many"])
+    def test_y_outside_channel_raises(self, y):
+        with pytest.raises(cf.DomainError):
+            self.f.evaluate(0.0, y, 0.0)
+
+
 class TestHarmonicProduct:
     def test_pointwise_consistency(self):
         rng = np.random.RandomState(7)

@@ -106,6 +106,15 @@ class TestModeToField:
         base = cf.poiseuille_base(PARAMS, modes[0].grid)
         assert (u - base).max_abs() == 0.0
 
+    def test_rejects_non_finite_mode_vector(self, modes):
+        m = modes[0]
+        vals = m.vhat.values.copy()
+        vals[5] = np.nan
+        bad = cf.ModeResult(eigenvalue=m.eigenvalue, vhat=cf.YProfile(m.grid, vals),
+                            params=m.params, grid=m.grid)
+        with pytest.raises(cf.ConfigurationError, match="finite"):
+            cf.mode_to_field(bad, 0.3)
+
     def test_without_base(self, modes):
         u = cf.mode_to_field(modes[1], 0.5, include_base=False)
         assert 0 not in u.u1.harmonics()

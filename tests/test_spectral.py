@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from compatflow import ChebGrid, DomainError, YProfile, cheb_grid
+from compatflow import ChebGrid, ConfigurationError, DomainError, YProfile, cheb_grid
 
 
 def test_nodes_descend_from_plus_one():
@@ -129,3 +129,21 @@ class TestYProfile:
         assert YProfile.zero(g).is_zero()
         assert YProfile.from_poly(g, [0.0]).is_zero()
         assert not YProfile.from_poly(g, [0.0, 1e-30]).is_zero()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_from_values_rejects_non_finite(self, bad):
+        g = cheb_grid(8)
+        vals = np.zeros(g.n)
+        vals[3] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            YProfile.from_values(g, vals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_from_poly_rejects_non_finite(self, bad):
+        g = cheb_grid(8)
+        with pytest.raises(ConfigurationError, match="finite"):
+            YProfile.from_poly(g, [1.0, bad, 0.0])
+        with pytest.raises(ConfigurationError, match="finite"):
+            YProfile.from_poly(g, [[1.0, 0.0], [0.0, bad]])
