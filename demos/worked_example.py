@@ -27,7 +27,7 @@ print()
 # The momentum balance at t = 0 is evaluated through the vorticity
 # formulation: w = curl u, then dw/dt, then minus its curl as the forcing
 # for the velocity rate of change.
-w = cf.vorticity(field)
+w = cf.curl(field)
 f = cf.forcing(field)
 print("vorticity and forcing")
 print(f"  max |curl u|  = {w.max_abs():.4f}")

@@ -33,7 +33,6 @@ from .compat import (
     dudt,
     forcing,
     tangential_residual,
-    vorticity,
     vorticity_rhs,
 )
 from .oracle import (
@@ -94,7 +93,6 @@ __all__ = [
     "solve_orr_sommerfeld",
     "solve_pressure",
     "tangential_residual",
-    "vorticity",
     "vorticity_rhs",
     "__version__",
 ]

@@ -72,15 +72,9 @@ def _x_period(params: FlowParams) -> float:
 
 
 def _defect_profiles_csv(defect, path: str):
-    js = defect.harmonics()
-    header = ["y"]
-    for j in js:
-        header += [f"cos_{j}", f"sin_{j}"]
-    y = defect.grid.y
-    cols = [y]
-    for j in js:
-        a, b = defect.get(j)
-        cols += [a.values, b.values]
+    slots = [(j, t) for j in defect.harmonics() for t in (0, 1)]
+    header = ["y"] + [f"{('cos', 'sin')[t]}_{j}" for j, t in slots]
+    cols = [defect.grid.y] + [defect.block.values[t, j] for j, t in slots]
     _write_csv(path, header, cols)
 
 
@@ -101,14 +95,6 @@ def _velocity_slices_csv(field: WaveField, path: str):
     u2 = field.u2.evaluate(X, Y, 0.0)
     u3 = field.u3.evaluate(X, Y, 0.0)
     _write_csv(path, ["x", "y", "u2", "u3"], [X, Y, u2, u3])
-
-
-def _field_maxdiff(f1: WaveField, f2: WaveField) -> float:
-    m = 0.0
-    for c1, c2 in zip(f1.components, f2.components):
-        diff = c1 - c2
-        m = max(m, diff.max_abs())
-    return m
 
 
 def _params_from(args) -> FlowParams:
@@ -168,7 +154,7 @@ def cmd_example(args) -> int:
 
     def rel(pipeline, ref):
         scale = ref.max_abs()
-        return _field_maxdiff(pipeline, ref) / scale if scale > 0 else 0.0
+        return (pipeline - ref).max_abs() / scale if scale > 0 else 0.0
 
     blocks["vorticity"] = rel(curl(fnum), example_vorticity(params, grid))
     f_pipe = forcing(fnum)

@@ -186,7 +186,8 @@ def _continuity_u3(params, j, u1_pair, u2_pair, grid):
 
 def _dump_profile(prof: YProfile) -> dict:
     if prof.poly is not None:
-        return {"poly": [float(c) for c in prof.poly]}
+        # without the zero padding up to the longest profile of its field
+        return {"poly": [float(c) for c in np.trim_zeros(prof.poly, "b")]}
     if prof.is_zero():
         return {"poly": [0.0]}
     return {"values": [float(v) for v in prof.values]}

@@ -5,10 +5,15 @@ A scalar field is stored as a truncated phase series
     f(x, y, z) = sum_j  a_j(y) cos(j theta) + b_j(y) sin(j theta),
     theta = alpha x + beta z,
 
-with one pair of wall-normal profiles per harmonic j >= 0. Products are
-formed in coefficient space (product-to-sum identities), so no collocation
-in theta and no aliasing is involved. The j = 0 sine slot multiplies
-sin(0) = 0 and is kept identically zero.
+held in one block of wall-normal profiles (a YProfile) whose leading axes
+are the (cos, sin) slot and the harmonic index j. Every operation acts on
+all harmonics at once: d/dx and d/dz scale the slots by j alpha or j beta
+and swap them, d/dy and the Laplacian act on the whole block, and a
+product is one outer product over the pairs of harmonics (j1, j2), summed
+into j1 + j2 and |j1 - j2| by the product-to-sum identities, so no
+collocation in theta and no aliasing is involved. A block keeps exact
+polynomial coefficients only when every profile in it has them. The j = 0
+sine slot multiplies sin(0) = 0 and is kept identically zero.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .spectral import ChebGrid, YProfile
+from .spectral import ChebGrid, YProfile, polyadd
 
 # admissibility thresholds, relative to the field's own max-abs scale
 NOSLIP_RTOL = 1e-10
@@ -45,46 +50,108 @@ class FlowParams:
         return self.alpha**2 + self.beta**2
 
 
+def _map(p: YProfile, fn) -> YProfile:
+    """fn applied to the samples and, when present, to the coefficients."""
+    return YProfile(p.grid, fn(p.values), None if p.poly is None else fn(p.poly))
+
+
+def _stack(grid: ChebGrid, profiles) -> YProfile:
+    """One block from a list of profiles: rows broadcast, coefficients
+    zero-padded to the longest. The block keeps the polynomial form only
+    when every profile has one."""
+    lead = np.broadcast_shapes(*(p.values.shape[:-1] for p in profiles))
+    values = np.stack([np.broadcast_to(p.values, lead + (grid.n,)) for p in profiles])
+    if any(p.poly is None for p in profiles):
+        return YProfile(grid, values)
+    pad = np.zeros(max(p.poly.shape[-1] for p in profiles))
+    poly = [np.broadcast_to(polyadd(p.poly, pad), lead + pad.shape) for p in profiles]
+    return YProfile(grid, values, np.stack(poly))
+
+
+def _fit(p: YProfile, size: int, ndim: int) -> YProfile:
+    """Scalar block with `size` harmonics (zeros appended) and unit row
+    axes inserted after the harmonic axis up to `ndim` dimensions."""
+
+    def fit(a):
+        if a.ndim < ndim:
+            a = a.reshape(a.shape[:2] + (1,) * (ndim - a.ndim) + a.shape[2:])
+        if a.shape[1] == size:
+            return a
+        out = np.zeros(a.shape[:1] + (size,) + a.shape[2:], a.dtype)
+        out[:, : a.shape[1]] = a
+        return out
+
+    return _map(p, fit)
+
+
+def _scale(fac: np.ndarray, p: YProfile) -> YProfile:
+    """Block times one factor per (trig slot, harmonic); fac is (2, J+1)
+    or broadcasts to it."""
+    return _map(p, lambda a: fac.reshape(fac.shape + (1,) * (a.ndim - 2)) * a)
+
+
 class HarmonicScalar:
-    """Scalar harmonic series: dict j -> (cos profile, sin profile)."""
+    """Scalar harmonic series held in one profile block: `block.values` is
+    (2, J+1, n), or (2, J+1, rows, n) for a block of fields, with the
+    (cos, sin) slot on axis 0 and the harmonic index j on axis 1; `poly`
+    follows the same layout."""
 
     def __init__(self, params: FlowParams, grid: ChebGrid, data=None):
         self.params = params
         self.grid = grid
-        self.data: dict[int, tuple[YProfile, YProfile]] = {}
-        if data:
-            for j, (a, b) in data.items():
-                self.put(int(j), a, b)
+        pairs = {int(j): pair for j, pair in (data or {}).items()}
+        for j, (a, b) in pairs.items():
+            if j < 0:
+                raise ConfigurationError(f"harmonic index must be >= 0, got {j}")
+            if a.grid != grid or b.grid != grid:
+                raise ConfigurationError("profile grid does not match field grid")
+        zero = YProfile.zero(grid)
+        slots = [pairs.get(j, (zero, zero)) for j in range(max(pairs, default=0) + 1)]
+        # sin(0) = 0; a coefficient there carries no field content
+        block = _stack(grid, [a for a, _ in slots] + [zero] + [b for _, b in slots[1:]])
+        self.block = _map(block, lambda a: a.reshape((2, len(slots)) + a.shape[1:]))
+
+    def _like(self, block: YProfile) -> "HarmonicScalar":
+        """Scalar with this freshly computed block, its j = 0 sine slot set
+        to zero whatever the operation left there (-0.0, NaN)."""
+        block.values[1, 0] = 0.0
+        if block.poly is not None:
+            block.poly[1, 0] = 0.0
+        out = object.__new__(HarmonicScalar)
+        out.params, out.grid, out.block = self.params, self.grid, block
+        return out
+
+    @property
+    def _size(self) -> int:
+        return self.block.values.shape[1]
 
     def put(self, j: int, a: YProfile, b: YProfile):
-        if j < 0:
-            raise ConfigurationError(f"harmonic index must be >= 0, got {j}")
-        if a.grid != self.grid or b.grid != self.grid:
-            raise ConfigurationError("profile grid does not match field grid")
-        if j == 0 and not b.is_zero():
-            # sin(0) = 0; a nonzero coefficient here carries no field content
-            b = YProfile.zero(self.grid)
-        if a.is_zero() and b.is_zero():
-            self.data.pop(j, None)
-        else:
-            self.data[j] = (a, b)
+        data = dict(self.items())
+        data[j] = (a, b)
+        self.block = HarmonicScalar(self.params, self.grid, data).block
 
     @classmethod
     def zero(cls, params: FlowParams, grid: ChebGrid) -> "HarmonicScalar":
         return cls(params, grid)
 
     def get(self, j: int) -> tuple[YProfile, YProfile]:
+        if 0 <= j < self._size:
+            return _map(self.block, lambda a: a[0, j]), _map(self.block, lambda a: a[1, j])
         z = YProfile.zero(self.grid)
-        return self.data.get(j, (z, z))
+        return z, z
 
     def items(self):
-        return sorted(self.data.items())
+        return [(j, self.get(j)) for j in self.harmonics()]
 
     def harmonics(self) -> list[int]:
-        return sorted(self.data)
+        live = np.any(self.block.values.reshape(2, self._size, -1), axis=(0, 2))
+        return np.flatnonzero(live).tolist()
 
     def copy(self) -> "HarmonicScalar":
-        return HarmonicScalar(self.params, self.grid, dict(self.data))
+        # a block is never written after construction, so it is shared
+        out = object.__new__(HarmonicScalar)
+        vars(out).update(vars(self))
+        return out
 
     def _compat(self, other: "HarmonicScalar"):
         if self.grid != other.grid:
@@ -96,11 +163,9 @@ class HarmonicScalar:
 
     def __add__(self, other: "HarmonicScalar") -> "HarmonicScalar":
         self._compat(other)
-        out = self.copy()
-        for j, (a, b) in other.data.items():
-            a0, b0 = out.get(j)
-            out.put(j, a0 + a, b0 + b)
-        return out
+        size = max(self._size, other._size)
+        ndim = max(self.block.values.ndim, other.block.values.ndim)
+        return self._like(_fit(self.block, size, ndim) + _fit(other.block, size, ndim))
 
     def __sub__(self, other: "HarmonicScalar") -> "HarmonicScalar":
         return self + (-1.0) * other
@@ -108,67 +173,47 @@ class HarmonicScalar:
     def __mul__(self, other):
         if isinstance(other, HarmonicScalar):
             return harmonic_product(self, other)
-        out = HarmonicScalar(self.params, self.grid)
-        for j, (a, b) in self.data.items():
-            out.put(j, other * a, other * b)
-        return out
+        return self._like(self.block * other)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "HarmonicScalar":
         return (-1.0) * self
 
+    def _dtheta(self, k: float) -> "HarmonicScalar":
+        """k d/dtheta: cos_j -> -j k sin, sin_j -> +j k cos."""
+        jk = k * np.arange(self._size)
+        swapped = _map(self.block, lambda a: a[::-1])
+        return self._like(_scale(np.stack([jk, -jk]), swapped))
+
     def dx(self) -> "HarmonicScalar":
-        """d/dx: cos_j -> -j alpha sin, sin_j -> +j alpha cos."""
-        al = self.params.alpha
-        out = HarmonicScalar(self.params, self.grid)
-        for j, (a, b) in self.data.items():
-            out.put(j, j * al * b, -j * al * a)
-        return out
+        return self._dtheta(self.params.alpha)
 
     def dz(self) -> "HarmonicScalar":
-        be = self.params.beta
-        out = HarmonicScalar(self.params, self.grid)
-        for j, (a, b) in self.data.items():
-            out.put(j, j * be * b, -j * be * a)
-        return out
+        return self._dtheta(self.params.beta)
 
     def dy(self) -> "HarmonicScalar":
-        out = HarmonicScalar(self.params, self.grid)
-        for j, (a, b) in self.data.items():
-            out.put(j, a.deriv(), b.deriv())
-        return out
+        return self._like(self.block.deriv())
 
     def laplacian(self) -> "HarmonicScalar":
         """d2/dy2 - j^2 (alpha^2 + beta^2) per harmonic."""
-        k2 = self.params.k2
-        out = HarmonicScalar(self.params, self.grid)
-        for j, (a, b) in self.data.items():
-            fac = -(j**2) * k2
-            out.put(j, a.deriv().deriv() + fac * a, b.deriv().deriv() + fac * b)
-        return out
+        fac = -(np.arange(self._size)[None] ** 2) * self.params.k2
+        return self._like(self.block.deriv().deriv() + _scale(fac, self.block))
 
     def max_abs(self) -> float:
         """Largest magnitude over all profiles; NaN if any sample is NaN
         (np.max propagates it, the builtin max would drop it)."""
-        profiles = [p for pair in self.data.values() for p in pair]
-        return float(np.max([0.0] + [p.max_abs for p in profiles]))
+        return self.block.max_abs
 
     def l2(self) -> float:
         """Volume-mean L2 norm: harmonic orthogonality in theta, Clenshaw-
         Curtis quadrature in y, normalized by the channel height."""
-        w = self.grid.weights
-        tot = 0.0
-        for j, (a, b) in self.data.items():
-            fac = 1.0 if j == 0 else 0.5
-            tot += fac * (w @ np.abs(a.values) ** 2 + w @ np.abs(b.values) ** 2)
+        fac = np.where(np.arange(self._size) == 0, 1.0, 0.5)
+        tot = fac @ (np.abs(self.block.values) ** 2 @ self.grid.weights).sum(axis=0)
         return float(np.sqrt(tot / 2.0))
 
     def strip_poly(self) -> "HarmonicScalar":
-        out = HarmonicScalar(self.params, self.grid)
-        for j, (a, b) in self.data.items():
-            out.put(j, a.strip_poly(), b.strip_poly())
-        return out
+        return self._like(self.block.strip_poly())
 
     def evaluate(self, x, y, z):
         """Pointwise values at broadcastable coordinate arrays.
@@ -186,39 +231,36 @@ class HarmonicScalar:
         # numpy < 2 returns a flat inverse
         inv = inv.reshape(y.shape)
         out = np.zeros(theta.shape)
-        for j, (a, b) in self.data.items():
+        for j, (a, b) in self.items():
             ay, by = a(yu)[inv], b(yu)[inv]
             out = out + ay * np.cos(j * theta) + by * np.sin(j * theta)
         return out
 
 
 def harmonic_product(f: HarmonicScalar, g: HarmonicScalar) -> HarmonicScalar:
-    """Pointwise product of two harmonic scalars, in coefficient space."""
+    """Pointwise product of two harmonic scalars, in coefficient space: the
+    outer product over the live harmonics (j1, j2) of f and g, sent to
+    s = j1 + j2 and d = |j1 - j2| (sgn = sign(j1 - j2)) by one matrix
+
+        cos cos -> (cos d + cos s) / 2,      sin sin -> (cos d - cos s) / 2,
+        sin cos -> (sin s + sgn sin d) / 2,  cos sin -> (sin s - sgn sin d) / 2.
+    """
     f._compat(g)
-    grid = f.grid
-    zero = YProfile.zero(grid)
-    out = HarmonicScalar(f.params, grid)
-
-    def add(j, a, b):
-        a0, b0 = out.get(j)
-        out.put(j, a0 + a, b0 + b)
-
-    for j1, (a1, b1) in f.data.items():
-        for j2, (a2, b2) in g.data.items():
-            jd, js = abs(j1 - j2), j1 + j2
-            sgn = 1.0 if j1 >= j2 else -1.0
-            aa = 0.5 * (a1 * a2)
-            bb = 0.5 * (b1 * b2)
-            ba = 0.5 * (b1 * a2)
-            ab = 0.5 * (a1 * b2)
-            # cos cos -> cos(d) + cos(s); sin sin -> cos(d) - cos(s)
-            add(jd, aa + bb, zero)
-            add(js, aa - bb, zero)
-            # sin(j1) cos(j2) -> sin(s) + sgn sin(d)
-            # cos(j1) sin(j2) -> sin(s) - sgn sin(d)
-            add(js, zero, ba + ab)
-            add(jd, zero, sgn * (ba - ab))
-    return out
+    ndim = max(f.block.values.ndim, g.block.values.ndim)
+    jf, jg = (np.array(h.harmonics() or [0]) for h in (f, g))
+    # axes: f slot, g slot, j1, j2, then rows and y
+    x1 = _map(_fit(f.block, f._size, ndim), lambda a: a[:, None, jf, None])
+    x2 = _map(_fit(g.block, g._size, ndim), lambda a: a[None, :, None, jg])
+    j1, j2 = jf[:, None], jg[None, :]
+    k = np.arange(f._size + g._size - 1)[:, None, None]
+    s, d, sgn = 0.5 * (k == j1 + j2), 0.5 * (k == abs(j1 - j2)), np.sign(j1 - j2)
+    o = np.zeros_like(s)
+    M = np.array([[[d + s, o], [o, d - s]], [[o, s - sgn * d], [s + sgn * d, o]]])
+    M = M.transpose(0, 3, 1, 2, 4, 5).reshape(2 * len(k), -1)
+    out = (2, len(k))
+    return f._like(
+        _map(x1 * x2, lambda a: (M @ a.reshape(M.shape[1], -1)).reshape(out + a.shape[4:]))
+    )
 
 
 @dataclass
@@ -252,35 +294,22 @@ class WaveField:
     def l2(self) -> float:
         return float(np.sqrt(sum(c.l2() ** 2 for c in self.components)))
 
+    def _zip(self, fn, *others) -> "WaveField":
+        """Field of fn(u_i, other.u_i, ...) per component."""
+        comps = zip(self.components, *(o.components for o in others))
+        return WaveField(*(fn(*c) for c in comps), self.params, self.grid)
+
     def strip_poly(self) -> "WaveField":
-        return WaveField(
-            self.u1.strip_poly(),
-            self.u2.strip_poly(),
-            self.u3.strip_poly(),
-            self.params,
-            self.grid,
-        )
+        return self._zip(HarmonicScalar.strip_poly)
 
     def __add__(self, other: "WaveField") -> "WaveField":
-        return WaveField(
-            self.u1 + other.u1,
-            self.u2 + other.u2,
-            self.u3 + other.u3,
-            self.params,
-            self.grid,
-        )
+        return self._zip(lambda a, b: a + b, other)
 
     def __sub__(self, other: "WaveField") -> "WaveField":
-        return WaveField(
-            self.u1 - other.u1,
-            self.u2 - other.u2,
-            self.u3 - other.u3,
-            self.params,
-            self.grid,
-        )
+        return self._zip(lambda a, b: a - b, other)
 
     def __mul__(self, s):
-        return WaveField(s * self.u1, s * self.u2, s * self.u3, self.params, self.grid)
+        return self._zip(lambda c: s * c)
 
     __rmul__ = __mul__
 
@@ -317,27 +346,22 @@ def admissibility_violations(field: WaveField, div_rtol: float = DIVFREE_ERROR_R
     if scale == 0.0:
         return []
     out = []
-    names = ("u1", "u2", "u3")
-    for name, comp in zip(names, field.components):
-        for j, (a, b) in comp.items():
-            for trig, prof in (("cos", a), ("sin", b)):
-                for wall, val in (("+1", prof.top), ("-1", prof.bottom)):
-                    if abs(val) > NOSLIP_RTOL * scale:
-                        out.append(
-                            f"{name} {trig} j={j}: no-slip violated at "
-                            f"y={wall} (|u| = {abs(val):.3e})"
-                        )
+    trig = ("cos", "sin")
+    for name, comp in zip(("u1", "u2", "u3"), field.components):
+        for wall, vals in (("+1", comp.block.top), ("-1", comp.block.bottom)):
+            for t, j in zip(*np.nonzero(np.abs(vals) > NOSLIP_RTOL * scale)):
+                out.append(
+                    f"{name} {trig[t]} j={j}: no-slip violated at "
+                    f"y={wall} (|u| = {abs(vals[t, j]):.3e})"
+                )
     div = divergence(field)
     dmax = div.max_abs()
     if dmax > div_rtol * scale:
-        worst = max(
-            ((j, trig, p.max_abs) for j, (a, b) in div.items()
-             for trig, p in (("cos", a), ("sin", b))),
-            key=lambda t: t[2],
-        )
+        mags = np.max(np.abs(div.block.values), axis=-1)
+        t, j = np.unravel_index(np.argmax(mags), mags.shape)
         out.append(
             f"divergence-free violated: max |div u| = {dmax:.3e} "
-            f"({dmax / scale:.3e} relative, worst at {worst[1]} j={worst[0]})"
+            f"({dmax / scale:.3e} relative, worst at {trig[t]} j={j})"
         )
     elif dmax > DIVFREE_WARN_RTOL * scale:
         warnings.warn(

@@ -94,18 +94,14 @@ def solve_dudt(forcing: WaveField) -> WaveField:
     homogeneous Dirichlet walls, one harmonic per component at a time."""
     params, grid = forcing.params, forcing.grid
     k2 = params.k2
-    comps = []
-    for comp in forcing.components:
-        out = HarmonicScalar.zero(params, grid)
-        for j, (a, b) in comp.items():
-            kk = j * j * k2
-            out.put(
-                j,
-                solve_bvp(BVPSpec(kk, a), grid),
-                solve_bvp(BVPSpec(kk, b), grid),
-            )
-        comps.append(out)
-    return WaveField(comps[0], comps[1], comps[2], params, grid)
+
+    def solve(comp):
+        return HarmonicScalar(params, grid, {
+            j: tuple(solve_bvp(BVPSpec(j * j * k2, p), grid) for p in pair)
+            for j, pair in comp.items()
+        })
+
+    return WaveField(*(solve(c) for c in forcing.components), params, grid)
 
 
 def pressure_rhs(field: WaveField) -> HarmonicScalar:
@@ -130,19 +126,14 @@ def solve_pressure(field: WaveField) -> HarmonicScalar:
     Re = params.reynolds
     q = pressure_rhs(field)
     lap_u2 = field.u2.laplacian()
-    out = HarmonicScalar.zero(params, grid)
+
+    def solve(kk, rhs, lap):
+        return solve_bvp(BVPSpec(kk, rhs, "neumann", (lap.top / Re, lap.bottom / Re)), grid)
+
+    out = {}
     for j in sorted(set(q.harmonics()) | set(lap_u2.harmonics())):
-        qa, qb = q.get(j)
-        la, lb = lap_u2.get(j)
+        (qa, qb), (la, lb) = q.get(j), lap_u2.get(j)
         kk = j * j * params.k2
-        pa = solve_bvp(
-            BVPSpec(kk, qa, "neumann", (la.top / Re, la.bottom / Re)), grid
-        )
-        if j == 0:
-            pb = YProfile.zero(grid)
-        else:
-            pb = solve_bvp(
-                BVPSpec(kk, qb, "neumann", (lb.top / Re, lb.bottom / Re)), grid
-            )
-        out.put(j, pa, pb)
-    return out
+        # sin(0) = 0: the j = 0 mode has no sine slot to solve for
+        out[j] = (solve(kk, qa, la), YProfile.zero(grid) if j == 0 else solve(kk, qb, lb))
+    return HarmonicScalar(params, grid, out)

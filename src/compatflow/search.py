@@ -140,9 +140,10 @@ def _defect_samples(field: WaveField, rows: int | None = None):
     max-abs (over all rows).
 
     For a block from assemble, rows is its row count and the samples come
-    back as (rows, nr). A profile that vanishes in every row of the block
-    is dropped or stored as a single zero row, so the row count is taken
-    from the caller, not from a profile's shape.
+    back as (rows, nr). A component built without a free slot has no row
+    axis, and a harmonic the defect does not reach comes back as a single
+    zero profile, so the row count is taken from the caller, not from a
+    profile's shape.
     """
     f = forcing(field)
     defect = divergence(solve_dudt(f))

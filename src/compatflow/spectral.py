@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigurationError, DomainError
 
@@ -132,6 +131,16 @@ def polyder(p: np.ndarray) -> np.ndarray:
     return p[..., 1:] * np.arange(1, p.shape[-1])
 
 
+def _polyval(grid: ChebGrid, p: np.ndarray) -> np.ndarray:
+    """Samples at the nodes of coefficient arrays with any leading axes,
+    by Horner's rule (the same operations as numpy's polyval)."""
+    out = np.zeros(p.shape[:-1] + (grid.n,), np.result_type(p, grid.y))
+    for i in range(p.shape[-1] - 1, -1, -1):
+        out *= grid.y
+        out += p[..., i, None]
+    return out
+
+
 def _finite(a: np.ndarray, what: str) -> np.ndarray:
     # a NaN profile fails every comparison downstream, so it could pass
     # the admissibility checks and the verdict alike
@@ -145,9 +154,10 @@ class YProfile:
     """A scalar function of y sampled on a ChebGrid.
 
     `values` holds the nodal samples (real or complex), shape (n,) for one
-    profile or (rows, n) for a block of profiles that share every
-    operation. When the profile is known to be a polynomial, `poly` carries
-    its coefficients in ascending powers of y, shape (d,) or (rows, d);
+    profile or (..., n) for a block of profiles that share every operation
+    (rows of a search block, harmonics of a HarmonicScalar). When the
+    profile is known to be a polynomial, `poly` carries its coefficients in
+    ascending powers of y, shape (d,) or (..., d);
     arithmetic propagates the polynomial form where it stays exact and
     drops it otherwise. Rows broadcast against single profiles, so a block
     and a single profile go through the same code.
@@ -164,7 +174,7 @@ class YProfile:
     @classmethod
     def from_poly(cls, grid: ChebGrid, coeffs) -> "YProfile":
         c = _finite(np.atleast_1d(np.asarray(coeffs, dtype=float)), "coefficients")
-        return cls(grid, npoly.polyval(grid.y, c.T), c)
+        return cls(grid, _polyval(grid, c), c)
 
     @classmethod
     def from_values(cls, grid: ChebGrid, values) -> "YProfile":
@@ -226,11 +236,14 @@ class YProfile:
 
     def deriv(self) -> "YProfile":
         """d/dy. Exact polynomial derivative when the form is known,
-        collocation derivative otherwise."""
+        collocation derivative otherwise, as one matrix-vector product per
+        profile: a matrix-matrix product over a block sums in another order,
+        and the third derivatives in the forcing of a sampled field amplify
+        that to up to 3.5e-6 of the forcing scale at n = 128."""
         if self.poly is not None:
             p = polyder(self.poly)
-            return YProfile(self.grid, npoly.polyval(self.grid.y, p.T), p)
-        return YProfile(self.grid, self.values @ self.grid.D.T)
+            return YProfile(self.grid, _polyval(self.grid, p), p)
+        return YProfile(self.grid, (self.values[..., None, :] @ self.grid.D.T)[..., 0, :])
 
     def __call__(self, yq):
         return self.grid.interpolate(self.values, yq)

@@ -1,6 +1,7 @@
 """The compatibility check itself: verdicts, report contents, scaling."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,25 @@ def test_vorticity_rhs_warns_on_divergent_input():
                        cf.HarmonicScalar.zero(PARAMS, G), PARAMS, G)
     with pytest.warns(UserWarning):
         cf.vorticity_rhs(bad)
+
+
+def test_check_warns_once_on_slightly_divergent_input():
+    # divergence about 1e-6 of the field scale: inside the warning band of
+    # both the admissibility check and vorticity_rhs, reported once
+    rng = np.random.RandomState(18)
+    u = random_admissible(PARAMS, G, rng)
+    bump = cf.HarmonicScalar.zero(PARAMS, G)
+    bump.put(1, cf.YProfile.from_poly(G, 1e-6 * np.array([-1.0, 0.0, 1.0])),
+             cf.YProfile.zero(G))
+    dirty = cf.WaveField(u.u1 + bump, u.u2, u.u3, PARAMS, G)
+    rel = cf.divergence(dirty).max_abs() / dirty.max_abs()
+    assert 1e-8 < rel < 1e-4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cf.check(dirty)
+    user = [w for w in caught if issubclass(w.category, UserWarning)]
+    assert len(user) == 1, [str(w.message) for w in user]
+    assert "divergence" in str(user[0].message)
 
 
 class TestZeroWallNormalFamily:

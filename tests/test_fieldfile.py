@@ -31,6 +31,23 @@ def test_sampled_round_trip(tmp_path):
     assert (field - back).max_abs() == 0.0
 
 
+def test_written_polynomials_keep_their_own_length(tmp_path):
+    # the harmonics of a scalar share one coefficient array, zero-padded to
+    # the longest profile; the file holds each profile without that padding
+    u1 = cf.HarmonicScalar(PARAMS, G, {
+        1: (prof(G, [-1.0, 0.0, 1.0]), cf.YProfile.zero(G)),
+        2: (prof(G, [-1.0, 0.5, 1.0, -0.5, 0.25]), cf.YProfile.zero(G)),
+    })
+    zero = cf.HarmonicScalar.zero(PARAMS, G)
+    field = cf.WaveField(u1, zero, zero.copy(), PARAMS, G)
+    doc = field_to_dict(field)
+    assert doc["harmonics"][0]["u1"]["cos"]["poly"] == [-1.0, 0.0, 1.0]
+    assert doc["harmonics"][1]["u1"]["cos"]["poly"] == [-1.0, 0.5, 1.0, -0.5, 0.25]
+    path = tmp_path / "f.json"
+    save_field(field, path)
+    assert (field - load_field(path)).max_abs() == 0.0
+
+
 def test_zero_u3_survives_round_trip(tmp_path):
     # an absent u3 means "complete from continuity", which is not the same
     # as a u3 that is genuinely zero, so the writer must emit it

@@ -194,6 +194,96 @@ class TestHarmonicProduct:
         assert p.get(0)[1].is_zero()
 
 
+class TestHarmonicSet:
+    """Which harmonics a scalar reports, and which form its profiles keep:
+    only harmonics with a nonzero profile are listed, whatever the storage
+    holds, and a block is polynomial only when all of its profiles are."""
+
+    def test_difference_and_zero_multiple_are_empty(self):
+        f = random_scalar(PARAMS, GRID, np.random.RandomState(30))
+        assert (f - f).harmonics() == []
+        assert (0.0 * f).harmonics() == []
+        assert (f - f).items() == []
+
+    def test_product_of_first_harmonics_holds_zero_and_two(self):
+        rng = np.random.RandomState(31)
+        f = random_scalar(PARAMS, GRID, rng, harmonics=(1,))
+        g = random_scalar(PARAMS, GRID, rng, harmonics=(1,))
+        assert (f * g).harmonics() == [0, 2]
+
+    def test_x_and_z_derivatives_of_mean_mode_are_empty(self):
+        f = random_scalar(PARAMS, GRID, np.random.RandomState(32), harmonics=(0,))
+        assert f.harmonics() == [0]
+        assert f.dx().harmonics() == []
+        assert f.dz().harmonics() == []
+
+    def test_mean_mode_sine_slot_stays_positive_zero(self):
+        # dx of a positive mean profile computes -0 * a; the slot is reset
+        # to +0.0 so that written files read 0.0, not -0.0
+        f = cf.HarmonicScalar.zero(PARAMS, GRID)
+        f.put(0, prof(GRID, [2.0, 1.0]), cf.YProfile.zero(GRID))
+        for h in (f.dx(), f.dz(), -1.0 * f.dx(), f * f):
+            b = h.get(0)[1]
+            assert b.is_zero() and not np.signbit(b.values).any()
+
+    def test_poly_plus_sampled_keeps_samples(self):
+        rng = np.random.RandomState(33)
+        f = random_scalar(PARAMS, GRID, rng)
+        g = random_scalar(PARAMS, GRID, rng)
+        mixed = f + g.strip_poly()
+        for j in f.harmonics():
+            for p, q, r in zip(mixed.get(j), f.get(j), g.get(j)):
+                assert p.poly is None
+                assert np.array_equal(p.values, q.values + r.values)
+        pure = f + g
+        assert all(p.poly is not None for _, pair in pure.items() for p in pair)
+
+    def test_one_sampled_profile_drops_the_coefficients(self):
+        f = random_scalar(PARAMS, GRID, np.random.RandomState(34), harmonics=(1, 2))
+        a, b = f.get(2)
+        f.put(2, a.strip_poly(), b)
+        assert all(p.poly is None for _, pair in f.items() for p in pair)
+        assert f.harmonics() == [1, 2]
+
+    def test_row_block_product_matches_single_rows(self):
+        rng = np.random.RandomState(35)
+        rows = 5
+
+        def block(coeffs):
+            # coeffs: (harmonic, slot, rows, degree + 1)
+            return cf.HarmonicScalar(PARAMS, GRID, {
+                j: (prof(GRID, c[0]), prof(GRID, c[1])) for j, c in enumerate(coeffs)
+            })
+
+        c_f = rng.uniform(-1, 1, (3, 2, rows, 4))
+        c_g = rng.uniform(-1, 1, (2, 2, rows, 5))
+        prod = block(c_f) * block(c_g)
+        assert prod.harmonics() == [0, 1, 2, 3]
+        for r in range(rows):
+            want = block(c_f[:, :, r]) * block(c_g[:, :, r])
+            scale = want.max_abs()
+            assert prod.harmonics() == want.harmonics()
+            for j, (a, b) in want.items():
+                got_a, got_b = prod.get(j)
+                assert got_a.values.shape == (rows, GRID.n)
+                assert np.max(np.abs(got_a.values[r] - a.values)) <= 1e-14 * scale
+                assert np.max(np.abs(got_b.values[r] - b.values)) <= 1e-14 * scale
+
+    def test_row_block_times_single_field(self):
+        rng = np.random.RandomState(36)
+        coeffs = rng.uniform(-1, 1, (4, 3))
+        zero = cf.YProfile.zero(GRID)
+        rowed = cf.HarmonicScalar(PARAMS, GRID, {1: (prof(GRID, coeffs), zero)})
+        g = random_scalar(PARAMS, GRID, rng, harmonics=(0, 2))
+        prod = rowed * g
+        for r in range(4):
+            want = cf.HarmonicScalar(PARAMS, GRID, {1: (prof(GRID, coeffs[r]), zero)}) * g
+            for j, (a, b) in want.items():
+                got_a, got_b = prod.get(j)
+                assert np.max(np.abs(got_a.values[r] - a.values)) <= 1e-14 * want.max_abs()
+                assert np.max(np.abs(got_b.values[r] - b.values)) <= 1e-14 * want.max_abs()
+
+
 def test_divergence_of_constructed_fields_vanishes():
     rng = np.random.RandomState(13)
     for _ in range(5):
