@@ -206,6 +206,12 @@ def cmd_oss(args) -> int:
     for i, mode in enumerate(modes):
         w = mode.eigenvalue
         print(f"  {i:3d}  {w.real:+.8f} {w.imag:+.8f}j")
+    # the pencil has n - 4 eigenvalues; every one not kept failed the n + 8 test
+    total = args.n - 4
+    print(
+        f"kept {len(modes)} of {total} eigenvalues; "
+        f"{total - len(modes)} moved by more than 1e-4 at n + 8"
+    )
     os.makedirs(args.out_dir, exist_ok=True)
     _write_json(
         {

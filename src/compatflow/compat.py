@@ -108,12 +108,16 @@ def tangential_residual(field: WaveField, pressure: HarmonicScalar) -> dict:
 
 
 def _tangential_max(tres: dict) -> float:
-    m = 0.0
-    for walls in tres.values():
-        for per in walls.values():
-            for entry in per.values():
-                m = max(m, abs(entry["cos"]), abs(entry["sin"]))
-    return m
+    """Largest magnitude over all entries; NaN if any entry is NaN (the
+    builtin max would drop it)."""
+    vals = [
+        abs(entry[k])
+        for walls in tres.values()
+        for per in walls.values()
+        for entry in per.values()
+        for k in ("cos", "sin")
+    ]
+    return float(np.max(vals, initial=0.0))
 
 
 @dataclass
@@ -217,6 +221,13 @@ def check(
     p = solve_pressure(field)
     tres = tangential_residual(field, p)
     tmax = _tangential_max(tres)
+    pmax = p.max_abs()
+    if not (np.isfinite(pmax) and np.isfinite(tmax)):
+        # a NaN here would reach report.json as the invalid JSON token NaN
+        raise NumericalError(
+            f"non-finite result: pressure max-abs {pmax}, "
+            f"tangential residual max-abs {tmax}"
+        )
 
     rel_max = dmax / fscale if fscale > 0 else 0.0
     rel_l2 = dl2 / fscale if fscale > 0 else 0.0

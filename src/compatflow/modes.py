@@ -9,6 +9,13 @@ The temporal eigenproblem for the wall-normal velocity amplitude vhat is
 with U = 1 - y^2, k2 = al^2 + be^2, and clamped walls vhat = vhat' = 0.
 Modes evolve like exp(-i omega t), so Im(omega) is the growth rate and the
 returned list is sorted by growth rate, most unstable first.
+
+It is discretized by Chebyshev collocation with the clamped walls built
+in: the wall samples are zero, the interior samples lie in the null space
+of the two wall-slope rows, and the equation is collocated at the n - 4
+nodes next to neither wall. The resulting (n - 4) pencil is regular, so
+one standard eigensolve gives the whole spectrum with no infinite
+eigenvalues. Unresolved modes are found by repeating the solve at n + 8.
 """
 
 from __future__ import annotations
@@ -47,75 +54,62 @@ def poiseuille_base(params: FlowParams, grid: ChebGrid) -> WaveField:
     return WaveField(u1, z, z.copy(), params, grid)
 
 
-def _os_matrices(params: FlowParams, grid: ChebGrid):
-    n = grid.n
-    y, D, D2 = grid.y, grid.D, grid.D2
-    k2 = params.k2
-    U = 1.0 - y**2
-    Upp = -2.0 * np.ones(n)
-    S = D2 - k2 * np.eye(n)
+def _os_pencil(params: FlowParams, grid: ChebGrid):
+    """The clamped pencil (A_r, B_r), square of size n - 4, and the
+    orthonormal basis Z of interior samples with zero wall slopes, so that
+    vhat[1:-1] = Z g; rows are the collocation nodes 2..n-3."""
+    y, k2 = grid.y, params.k2
+    S = grid.D2 - k2 * np.eye(grid.n)
     A = (
-        1j * params.alpha * (np.diag(U) @ S)
-        - 1j * params.alpha * np.diag(Upp)
+        1j * params.alpha * ((1.0 - y**2)[:, None] * S)
+        + 2j * params.alpha * np.eye(grid.n)
         - (1.0 / params.reynolds) * (S @ S)
-    ).astype(complex)
-    B = (1j * S).astype(complex)
-    # boundary rows: vhat(+-1) = 0 and vhat'(+-1) = 0
-    for r in (0, n - 1):
-        A[r] = 0.0
-        A[r, r] = 1.0
-        B[r] = 0.0
-    A[1] = D[0]
-    B[1] = 0.0
-    A[n - 2] = D[n - 1]
-    B[n - 2] = 0.0
-    return A, B
+    )
+    Z = sla.null_space(grid.D[[0, -1], 1:-1])
+    return A[2:-2, 1:-1] @ Z, 1j * S[2:-2, 1:-1] @ Z, Z
 
 
 def _os_spectrum(params: FlowParams, grid: ChebGrid):
-    A, B = _os_matrices(params, grid)
+    """Eigenvalues, most unstable first, and eigenvectors as nodal samples
+    (one column each, zero at the walls).
+
+    The standard problem is posed for h = B_r g, the collocated
+    i (D2 - k2) vhat: A_r B_r^-1 h = omega h. Recovering g = B_r^-1 h
+    smooths the eigensolver's rounding before the fourth derivatives of the
+    forcing see it; posed for g itself, B_r^-1 A_r, the linear defect of
+    mode fields comes out 20 to 35 times larger (n = 40 to 96).
+    """
+    A, B, Z = _os_pencil(params, grid)
     try:
-        w, V = sla.eig(A, B)
+        w, H = sla.eig(np.linalg.solve(B.T, A.T).T)
+        order = np.argsort(-w.imag)
+        G = np.linalg.solve(B, H[:, order])
     except (sla.LinAlgError, ValueError) as exc:
         raise NumericalError(
-            f"generalized eigensolve failed at n={grid.n}: {exc}; "
-            f"cond(A) ~ {np.linalg.cond(A):.2e}"
+            f"eigensolve failed at n={grid.n}: {exc}; cond(B) ~ {np.linalg.cond(B):.2e}"
         ) from exc
-    keep = np.isfinite(w) & (np.abs(w) < 1e6)
-    w, V = w[keep], V[:, keep]
-    order = np.argsort(-w.imag)
-    return w[order], V[:, order]
+    V = np.zeros((grid.n, w.size), complex)
+    V[1:-1] = Z @ G
+    return w[order], V
 
 
-def _normalize(v: np.ndarray) -> np.ndarray:
-    peak = v[np.argmax(np.abs(v))]
-    return v / peak
+def _peak_normalized(V: np.ndarray) -> np.ndarray:
+    """Columns of V scaled so that each one's largest-magnitude entry is 1."""
+    return V / V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
 
 
-def _refine_bcs(A, B, w: complex, v: np.ndarray) -> np.ndarray:
-    """One inverse-iteration pass; the replaced boundary rows are then
-    satisfied to solver precision rather than eigensolver precision."""
-    M = A - w * B
-    try:
-        v2 = np.linalg.solve(M, B @ v)
-    except np.linalg.LinAlgError:
-        return v
-    if not np.all(np.isfinite(v2)):
-        return v
-    return _normalize(v2)
+def _clamp_walls(grid, V: np.ndarray) -> np.ndarray:
+    """Remove the rounding-level residuals of v = v' = 0 at both walls from
+    each column of V.
 
-
-def _clamp_walls(grid, v: np.ndarray) -> np.ndarray:
-    """Remove the residuals of the clamped conditions v = v' = 0 at both
-    walls.
-
-    Inverse iteration leaves wall residuals around 1e-11 with some jitter
-    from the near-singular solve. The correction must be small and also
-    smooth: the forcing takes fourth derivatives of v, and a rough
-    correction (the minimum-norm one lies in the span of the rows D[0] and
-    D[-1]) is amplified there into a defect that the eigenmode does not
-    have. The cubic in y that carries the four residuals is as small as
-    they are and has no fourth derivative.
+    The reduced pencil satisfies the wall conditions exactly in exact
+    arithmetic; in floating point Z g leaves wall slopes up to about 1e-12
+    times the peak. The correction must be small and also smooth: the
+    forcing takes fourth derivatives of v, and a rough correction (the
+    minimum-norm one lies in the span of the rows D[0] and D[-1]) is
+    amplified there into a defect that the eigenmode does not have. The
+    cubic in y that carries the four residuals is as small as they are and
+    has no fourth derivative.
     """
     c = np.zeros((4, grid.n))
     c[0, 0] = 1.0
@@ -123,15 +117,16 @@ def _clamp_walls(grid, v: np.ndarray) -> np.ndarray:
     c[2] = grid.D[0]
     c[3] = grid.D[-1]
     cubic = np.vander(grid.y, 4, increasing=True)
-    return v - cubic @ np.linalg.solve(c @ cubic, c @ v)
+    return V - cubic @ np.linalg.solve(c @ cubic, c @ V)
 
 
 def solve_orr_sommerfeld(params: FlowParams, n: int = 64) -> list[ModeResult]:
     """All resolved eigenmodes at node count n, sorted by growth rate.
 
-    Eigenvalues whose eigenfunctions move by more than 1e-4 (max-abs, after
-    peak normalization) when recomputed with n + 8 nodes are discretization
-    artifacts and are dropped.
+    The spectrum comes from one standard eigensolve of the clamped
+    (n - 4) pencil. Eigenvalues whose eigenfunctions move by more than 1e-4
+    (max-abs, after normalization) when recomputed with n + 8 nodes are
+    discretization artifacts and are dropped.
     """
     if n < 24:
         raise ConfigurationError(f"eigenproblem needs n >= 24 nodes, got {n}")
@@ -139,34 +134,25 @@ def solve_orr_sommerfeld(params: FlowParams, n: int = 64) -> list[ModeResult]:
     fine = cheb_grid(n + 8)
     w, V = _os_spectrum(params, grid)
     wf, Vf = _os_spectrum(params, fine)
-    A, B = _os_matrices(params, grid)
 
-    out = []
-    for i in range(w.size):
-        m = int(np.argmin(np.abs(wf - w[i])))
-        v_here = V[:, i]
-        v_fine = fine.interpolate(Vf[:, m], grid.y)
-        # Normalize both vectors at the same node. Anchoring each at its own
-        # peak is ambiguous for modes with two near-equal peaks (the coarse
-        # and fine solves can pick different ones), which used to discard
-        # perfectly converged eigenfunctions.
-        idx = int(np.argmax(np.abs(v_here)))
-        if abs(v_fine[idx]) < 0.1 * np.max(np.abs(v_fine)):
-            continue
-        v_here = v_here / v_here[idx]
-        v_fine = v_fine / v_fine[idx]
-        if np.max(np.abs(v_here - v_fine)) > SPURIOUS_EIGENFUNCTION_TOL:
-            continue
-        v_here = _normalize(_clamp_walls(grid, _refine_bcs(A, B, w[i], v_here)))
-        out.append(
-            ModeResult(
-                eigenvalue=complex(w[i]),
-                vhat=YProfile(grid, v_here),
-                params=params,
-                grid=grid,
-            )
-        )
-    return out
+    # each eigenvalue against its nearest one at n + 8
+    match = np.argmin(np.abs(wf[None, :] - w[:, None]), axis=1)
+    V_fine = fine.interpolate(Vf[:, match], grid.y)
+    # Normalize both vectors at the same node. Anchoring each at its own
+    # peak is ambiguous for modes with two near-equal peaks (the coarse and
+    # fine solves can pick different ones), which used to discard perfectly
+    # converged eigenfunctions.
+    V = _peak_normalized(V)
+    anchor = V_fine[np.argmax(np.abs(V), axis=0), np.arange(w.size)]
+    keep = np.abs(anchor) >= 0.1 * np.max(np.abs(V_fine), axis=0)
+    moved = np.max(np.abs(V - V_fine / np.where(keep, anchor, 1.0)), axis=0)
+    keep &= moved <= SPURIOUS_EIGENFUNCTION_TOL
+
+    V = _peak_normalized(_clamp_walls(grid, V[:, keep]))
+    return [
+        ModeResult(complex(wi), YProfile(grid, v), params, grid)
+        for wi, v in zip(w[keep], V.T.copy())
+    ]
 
 
 def mode_to_field(

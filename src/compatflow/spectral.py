@@ -59,18 +59,22 @@ class ChebGrid:
         return f"ChebGrid(n={self.n})"
 
     def interpolate(self, values: np.ndarray, yq) -> np.ndarray:
-        """Barycentric interpolation of nodal values at points yq in [-1, 1]."""
+        """Barycentric interpolation at points yq in [-1, 1] of nodal values
+        with the node axis first and any trailing axes; the result has shape
+        yq.shape + values.shape[1:]. Each column is one matrix-vector
+        product, so a block gives the bits of its columns taken one by one."""
         yq = np.asarray(yq, dtype=float)
         if np.any(yq < -1.0) or np.any(yq > 1.0):
             raise DomainError("evaluation points must satisfy -1 <= y <= 1")
         flat = np.atleast_1d(yq).ravel()
         diff = flat[:, None] - self.y[None, :]
         exact_q, exact_j = np.nonzero(diff == 0.0)
+        cols = values.reshape(len(values), -1)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = self._bary[None, :] / diff
-            out = (w @ values) / w.sum(axis=1)
-        out[exact_q] = values[exact_j]
-        return out.reshape(yq.shape) if yq.shape else out[0]
+            out = (w @ cols.T[..., None])[..., 0].T / w.sum(axis=1)[:, None]
+        out[exact_q] = cols[exact_j]
+        return out.reshape(yq.shape + values.shape[1:])[()]
 
 
 @lru_cache(maxsize=32)

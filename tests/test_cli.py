@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import re
 import shutil
 import subprocess
 import warnings
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import compatflow as cf
+from compatflow import compat
 from compatflow.cli import _write_csv, main
 from compatflow.fieldfile import field_to_dict, load_field, save_field
 
@@ -143,6 +145,24 @@ def test_check_incompatible_exit_code(example_file, tmp_path, capsys):
     assert grid.shape[0] == 128 * 64
 
 
+def test_check_refuses_non_finite_pressure(example_file, tmp_path, monkeypatch, capsys):
+    """A NaN pressure gives a NaN tangential residual, which report.json
+    would carry as the invalid JSON token NaN."""
+    def nan_pressure(field):
+        p = cf.HarmonicScalar.zero(field.params, field.grid)
+        p.put(1, cf.YProfile(field.grid, np.full(field.grid.n, np.nan)),
+              cf.YProfile.zero(field.grid))
+        return p
+
+    monkeypatch.setattr(compat, "solve_pressure", nan_pressure)
+    with pytest.raises(cf.NumericalError, match="pressure max-abs nan"):
+        cf.check(load_field(example_file))
+    out = tmp_path / "out"
+    assert main(["check", str(example_file), "-o", str(out)]) == 1
+    assert "tangential residual max-abs nan" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_check_tolerance_flag(example_file, tmp_path):
     rc = main(["check", str(example_file), "--tol", "1e-1",
                "-o", str(tmp_path / "chk")])
@@ -247,6 +267,19 @@ def test_oss_table_and_mode_field(tmp_path, capsys):
     assert len(doc["modes"]) >= 3
     field = load_field(out / "mode_field.json")
     assert cf.admissibility_violations(field) == []
+
+
+def test_oss_reports_dropped_eigenvalues(tmp_path, capsys):
+    n = 48
+    assert main(["oss", "--alpha", "1", "--beta", "1", "--reynolds", "80",
+                 "--n", str(n), "-o", str(tmp_path)]) == 0
+    text = capsys.readouterr().out
+    m = re.search(r"^kept (\d+) of (\d+) eigenvalues; (\d+) moved by more than "
+                  r"1e-4 at n \+ 8$", text, re.M)
+    kept, total, dropped = map(int, m.groups())
+    assert total == n - 4
+    assert kept + dropped == n - 4
+    assert kept == len(json.loads((tmp_path / "oss_modes.json").read_text())["modes"])
 
 
 def test_oss_mode_index_out_of_range(tmp_path, capsys):

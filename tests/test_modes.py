@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import compatflow as cf
+from compatflow import modes as modes_mod
 
 PARAMS = cf.FlowParams(1.0, 1.0, 80.0)
+# Orszag (1971), J. Fluid Mech. 50: least stable eigenvalue of plane
+# Poiseuille flow at alpha = 1, Re = 1e4
+ORSZAG = cf.FlowParams(1.0, 0.0, 1e4)
+ORSZAG_OMEGA = 0.23752649 + 0.00373967j
 
 # leading eigenvalues at n = 64, frozen from a converged run; these agree
 # with n = 80 and n = 96 to ten digits
@@ -63,6 +69,48 @@ def test_eigenfunctions_clamped_at_walls(modes):
 def test_eigenfunction_normalization(modes):
     v = modes[0].vhat.values
     assert np.max(np.abs(v)) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_orszag_1971_least_stable_eigenvalue():
+    w = cf.solve_orr_sommerfeld(ORSZAG, 96)[0].eigenvalue
+    assert abs(w.real - ORSZAG_OMEGA.real) < 1e-7
+    assert abs(w.imag - ORSZAG_OMEGA.imag) < 1e-7
+
+
+def _bordered_spectrum(params, n):
+    """Finite spectrum of the full n x n pencil with the four boundary rows
+    overwritten by v(+-1) = 0 and v'(+-1) = 0, which leaves four infinite
+    eigenvalues; the clamped (n - 4) pencil must reproduce the rest."""
+    g = cf.cheb_grid(n)
+    S = g.D2 - params.k2 * np.eye(n)
+    A = (1j * params.alpha * (np.diag(1 - g.y**2) @ S) + 2j * params.alpha * np.eye(n)
+         - (S @ S) / params.reynolds)
+    B = 1j * S
+    for r, row in ((0, np.eye(n)[0]), (1, g.D[0]), (n - 2, g.D[-1]), (n - 1, np.eye(n)[-1])):
+        A[r], B[r] = row, 0.0
+    w = sla.eig(A, B, right=False)
+    return w[np.isfinite(w) & (np.abs(w) < 1e6)]
+
+
+@pytest.mark.parametrize("params, n", [(PARAMS, 40), (PARAMS, 64), (ORSZAG, 96)])
+def test_reduced_pencil_matches_bordered_pencil(params, n):
+    A, B, Z = modes_mod._os_pencil(params, cf.cheb_grid(n))
+    assert A.shape == B.shape == (n - 4, n - 4)
+    assert Z.shape == (n - 2, n - 4)
+    assert np.all(np.isfinite(sla.eig(A, B, right=False)))
+    ref = _bordered_spectrum(params, n)
+    kept = np.array([m.eigenvalue for m in cf.solve_orr_sommerfeld(params, n)])
+    assert kept.size > 0
+    assert np.max(np.min(np.abs(kept[:, None] - ref[None, :]), axis=1)) < 1e-7
+
+
+def test_failed_eigensolve_names_node_count(monkeypatch):
+    def fail(*args, **kwargs):
+        raise sla.LinAlgError("did not converge")
+
+    monkeypatch.setattr(modes_mod.sla, "eig", fail)
+    with pytest.raises(cf.NumericalError, match="n=48"):
+        cf.solve_orr_sommerfeld(PARAMS, 48)
 
 
 def test_rejects_tiny_grids():

@@ -68,6 +68,23 @@ def test_interpolation_exact_at_nodes():
     assert np.array_equal(g.interpolate(vals, g.y), vals)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_interpolation_of_a_block_matches_its_columns(dtype):
+    """An (n, 5) block gives, bit for bit, the five 1-D interpolations of
+    its columns, at nodes, off the nodes and at a scalar point."""
+    g = cheb_grid(40)
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((g.n, 5)).astype(dtype)
+    if dtype is complex:
+        block += 1j * rng.standard_normal((g.n, 5))
+    yq = np.concatenate([rng.uniform(-1, 1, 16), g.y[::7], [1.0, -1.0]])
+    for points in (yq, yq.reshape(3, 8), 0.3, g.y[4]):
+        got = g.interpolate(block, points)
+        assert got.shape == np.shape(points) + (5,)
+        for j in range(5):
+            assert np.array_equal(got[..., j], g.interpolate(block[:, j], points))
+
+
 def test_interpolation_rejects_points_outside_channel():
     g = cheb_grid(16)
     with pytest.raises(DomainError):
