@@ -2,10 +2,12 @@
 
 The divergence defect of the wall-normal/streamwise ansatz is an exactly
 quadratic function of its polynomial coefficients. The search exploits
-that: it reconstructs the quadratic map from 231 polarization probes,
-which the pipeline evaluates together in a few row blocks, then runs
-damped Newton iterations on the model and verifies every candidate root
-against the true operators. Run with:
+that: it reconstructs the quadratic map from 66 polarization probes
+over the wall-normal coefficients (the streamwise ones cannot reach the
+defect of a single-harmonic field), which the pipeline evaluates
+together in one row block, then runs damped Newton iterations on the
+model and verifies every candidate root against the true operators. Run
+with:
 
     python3 demos/root_search.py
 """

@@ -264,7 +264,8 @@ def cmd_find(args) -> int:
     )
     print(
         f"{result.message}: residual {result.residual_rel:.3e} relative after "
-        f"{result.iterations} iterations ({result.restarts} restarts)"
+        f"{result.iterations} iterations ({result.restarts} restarts); "
+        f"model gap {result.model_gap_rel:.3e} relative"
     )
     os.makedirs(args.out_dir, exist_ok=True)
     _write_json(
@@ -281,6 +282,7 @@ def cmd_find(args) -> int:
             "seed": args.seed,
             "success": bool(result.success),
             "residual_rel": float(result.residual_rel),
+            "model_gap_rel": float(result.model_gap_rel),
             "iterations": int(result.iterations),
             "restarts": int(result.restarts),
             "message": result.message,

@@ -65,28 +65,31 @@ def _dirichlet(k2, rhs_vals, grid, bc):
 
 
 def _neumann(k2, rhs_vals, grid, bc):
+    """All rows of rhs_vals (shape (n,) or (rows, n)) in one solve."""
     n = grid.n
     A = grid.D2 - k2 * np.eye(n)
     b = np.array(rhs_vals, dtype=float)
     A[0] = grid.D[0]
-    b[0] = bc[0]
+    b[..., 0] = bc[0]
     A[-1] = grid.D[-1]
-    b[-1] = bc[1]
+    b[..., -1] = bc[1]
     if k2 == 0:
-        # pure Neumann problem: check solvability, then fix the additive
-        # constant with a mean-zero gauge row and a least squares solve
-        scale = max(1.0, float(np.max(np.abs(rhs_vals))), abs(bc[0]), abs(bc[1]))
-        mismatch = abs(grid.weights @ rhs_vals - (bc[0] - bc[1]))
-        if mismatch > 1e-8 * scale:
+        # pure Neumann problem: check solvability row by row, then fix the
+        # additive constant with a mean-zero gauge row and a least squares
+        # solve
+        bc_scale = max(1.0, abs(bc[0]), abs(bc[1]))
+        scale = np.maximum(np.max(np.abs(rhs_vals), axis=-1), bc_scale)
+        mismatch = np.abs(rhs_vals @ grid.weights - (bc[0] - bc[1]))
+        if np.any(mismatch > 1e-8 * scale):
             raise NumericalError(
                 "Neumann problem at k2=0 is not solvable: flux/source mismatch "
-                f"{mismatch:.3e} (integral of rhs must equal the net flux)"
+                f"{np.max(mismatch):.3e} (integral of rhs must equal the net flux)"
             )
         A2 = np.vstack([A, grid.weights])
-        b2 = np.concatenate([b, [0.0]])
-        sol, *_ = np.linalg.lstsq(A2, b2, rcond=None)
-        return sol
-    return np.linalg.solve(A, b)
+        b2 = np.concatenate([b, np.zeros(b.shape[:-1] + (1,))], axis=-1)
+        sol, *_ = np.linalg.lstsq(A2, b2.T, rcond=None)
+        return sol.T
+    return np.linalg.solve(A, b.T).T
 
 
 def solve_dudt(forcing: WaveField) -> WaveField:

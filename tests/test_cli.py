@@ -294,10 +294,12 @@ def test_find_writes_root_field(tmp_path, capsys):
     rc = main(["find", "--alpha", "1", "--beta", "1", "--reynolds", "80",
                "--seed", "0", "-o", str(out)])
     assert rc == 0
-    assert "converged" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "converged" in stdout and "model gap" in stdout
     rep = json.loads((out / "search_report.json").read_text())
     assert rep["success"] is True
     assert rep["residual_rel"] < 1e-10
+    assert 0.0 <= rep["model_gap_rel"] <= 1e-12
     assert len(rep["trace"]) >= 2
     field = load_field(out / "found_field.json")
     assert cf.check(field, tol_rel=1e-8).verdict == "compatible"

@@ -142,6 +142,27 @@ def test_check_warns_once_on_slightly_divergent_input():
     assert "divergence" in str(user[0].message)
 
 
+def test_defect_ignores_squire_part_of_single_harmonic_field():
+    """Adding (beta, 0, -alpha) phi(y) to a one-harmonic field changes only
+    the velocity along its invariant direction, which the divergence of
+    du/dt cannot see. Sampled profiles, so no exact polynomial algebra
+    carries the identity."""
+    rng = np.random.RandomState(28)
+    for params, j in ((PARAMS, 1), (cf.FlowParams(0.6, 1.4, 900.0), 1),
+                      (cf.FlowParams(1.3, 0.7, 150.0), 2)):
+        u = random_admissible(params, G, rng, harmonics=(j,)).strip_poly()
+        y = G.y
+        amp, freq, phase = rng.uniform(-2, 2, 2), rng.uniform(1, 4, 2), rng.uniform(0, 3, 2)
+        phi = [cf.YProfile.from_values(G, a * (1 - y**2) * np.cos(f * y + s))
+               for a, f, s in zip(amp, freq, phase)]
+        squire = cf.HarmonicScalar(params, G, {j: tuple(phi)})
+        moved = cf.WaveField(u.u1 + params.beta * squire, u.u2,
+                             u.u3 + (-params.alpha) * squire, params, G)
+        base, rep = cf.check(u), cf.check(moved)
+        assert (rep.defect - base.defect).max_abs() <= 1e-11 * base.forcing_max_abs
+        assert base.defect.max_abs() > 1e-3 * base.forcing_max_abs
+
+
 class TestZeroWallNormalFamily:
     """Fields with u2 = 0 cannot excite the divergence symptom: the
     nonlinear terms drop out of the momentum balance along the phase and

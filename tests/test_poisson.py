@@ -96,6 +96,32 @@ def test_neumann_solvability_violation():
         solve_bvp(spec, G)
 
 
+@pytest.mark.parametrize("k2", [2.5, 0.0])
+def test_neumann_row_block_matches_single_solves(k2):
+    """A (rows, n) source solves row by row, like the Dirichlet solve; at
+    k2 = 0 each row is made solvable (its integral equals the net flux)."""
+    rng = np.random.RandomState(22)
+    bc = (0.7, -0.4)
+    rhs = np.array([cf.YProfile.from_poly(G, rng.uniform(-1, 1, 6)).values
+                    for _ in range(5)])
+    if k2 == 0:
+        rhs -= ((rhs @ G.weights - (bc[0] - bc[1])) / 2.0)[:, None]
+    block = solve_bvp(BVPSpec(k2, cf.YProfile(G, rhs), "neumann", bc), G)
+    assert block.values.shape == (5, G.n)
+    for row, f in zip(block.values, rhs):
+        one = solve_bvp(BVPSpec(k2, cf.YProfile(G, f), "neumann", bc), G).values
+        assert np.max(np.abs(row - one)) <= 1e-12 * max(1.0, np.max(np.abs(one)))
+
+
+def test_neumann_row_block_solvability_is_per_row():
+    # the middle row alone violates the flux balance
+    rhs = np.zeros((3, G.n))
+    rhs[1] = 1.0
+    spec = BVPSpec(0.0, cf.YProfile(G, rhs), "neumann", (0.0, 0.0))
+    with pytest.raises(cf.NumericalError, match="solvab"):
+        solve_bvp(spec, G)
+
+
 def test_dudt_matches_reference_profiles():
     f = cf.example_forcing(PARAMS, G)
     got = solve_dudt(f)

@@ -156,6 +156,74 @@ def test_model_build_is_batched_and_not_cached(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_u1_slots_do_not_move_the_defect():
+    """A u1 change, with u3 from continuity, only moves the velocity along
+    the invariant direction of a one-harmonic field, which the divergence
+    of du/dt cannot see; the model build skips the u1 probes on this."""
+    rng = np.random.RandomState(35)
+    for n in (32, 48, 64, 32, 48, 64):
+        params = cf.FlowParams(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5),
+                               10 ** rng.uniform(1.5, 3.5))
+        spec = AnsatzSpec(params=params, degree=int(rng.randint(2, 7)))
+        grid = cf.cheb_grid(n)
+        k1 = (spec.degree + 1) * sum(spec.free_u1)
+        c = rng.uniform(-1, 1, spec.ncoeffs)
+        r = residual(spec, c, grid)
+        for _ in range(2):
+            moved = c.copy()
+            moved[:k1] = rng.uniform(-2, 2, k1)
+            diff = np.max(np.abs(residual(spec, moved, grid) - r))
+            assert diff <= 1e-11 * np.max(np.abs(r))
+
+
+def test_model_probes_only_u2_in_one_pipeline_run(monkeypatch):
+    """The default model takes one pipeline run over 1 + 2k + k(k-1)/2 = 66
+    probe rows (k = 10 u2 coefficients), and its u1 rows and columns are
+    exact zeros rather than probed rounding noise."""
+    rows = []
+    orig = search._defect_samples
+
+    def counting(field, nrows=None):
+        rows.append(nrows)
+        return orig(field, nrows)
+
+    monkeypatch.setattr(search, "_defect_samples", counting)
+    model = _QuadraticModel(SPEC, G)
+    assert rows == [66]
+    u1 = slice(0, 10)
+    assert not model.L[:, u1].any()
+    assert not model.B[:, u1, :].any() and not model.B[:, :, u1].any()
+    assert model.L[:, 10:].any() and model.B[:, 10:, 10:].any()
+
+
+@pytest.mark.parametrize(
+    "x0", [np.zeros(7), np.zeros((1, 20)), np.full(20, np.nan),
+           np.r_[np.ones(19), np.inf]],
+    ids=["short", "2-d", "nan", "inf"])
+def test_search_rejects_bad_x0(x0, capfd):
+    with pytest.raises(cf.ConfigurationError, match="x0"):
+        find_compatible(SPEC, x0=x0)
+    assert capfd.readouterr().err == ""
+
+
+def test_search_reports_model_gap():
+    """The model is exact, so at the returned point it agrees with the
+    pipeline to rounding."""
+    res = find_compatible(SPEC, seed=0)
+    assert res.success
+    assert 0.0 <= res.model_gap_rel <= 1e-12
+
+
+def test_search_rejects_root_with_small_u2_norm_share():
+    """The first start of this seed converges to a root whose u2 carries
+    6e-4 of the volume-mean norm but 1.2e-3 of the max-abs; acceptance
+    criterion 8 counts it as trivial, so the search restarts."""
+    res = find_compatible(SPEC, seed=223013981)
+    assert res.success
+    assert res.restarts == 1
+    assert res.field.u2.l2() >= 1e-3 * res.field.l2()
+
+
 def test_search_seeded_at_reference_root():
     res = find_compatible(SPEC, x0=REFERENCE_COEFFS)
     assert res.success
