@@ -51,21 +51,25 @@ class FlowParams:
 
 
 def _map(p: YProfile, fn) -> YProfile:
-    """fn applied to the samples and, when present, to the coefficients."""
-    return YProfile(p.grid, fn(p.values), None if p.poly is None else fn(p.poly))
+    """fn applied to the array the profile is held in (see YProfile.data)."""
+    if p.poly is None:
+        return YProfile(p.grid, fn(p.values))
+    return YProfile(p.grid, poly=fn(p.poly))
 
 
-def _stack(grid: ChebGrid, profiles) -> YProfile:
-    """One block from a list of profiles: rows broadcast, coefficients
-    zero-padded to the longest. The block keeps the polynomial form only
-    when every profile has one."""
-    lead = np.broadcast_shapes(*(p.values.shape[:-1] for p in profiles))
-    values = np.stack([np.broadcast_to(p.values, lead + (grid.n,)) for p in profiles])
-    if any(p.poly is None for p in profiles):
-        return YProfile(grid, values)
-    pad = np.zeros(max(p.poly.shape[-1] for p in profiles))
-    poly = [np.broadcast_to(polyadd(p.poly, pad), lead + pad.shape) for p in profiles]
-    return YProfile(grid, values, np.stack(poly))
+def _stack(grid: ChebGrid, profiles, axis: int = 0) -> YProfile:
+    """One block from a list of profiles, stacked along `axis`: rows
+    broadcast, coefficients zero-padded to the longest. The block is a
+    polynomial only when every profile is one."""
+    sampled = any(p.poly is None for p in profiles)
+    if sampled:
+        arrays = [p.values for p in profiles]
+    else:
+        d = max(p.poly.shape[-1] for p in profiles)
+        arrays = [polyadd(p.poly, np.zeros(d)) for p in profiles]
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+    block = np.stack([np.broadcast_to(a, lead + a.shape[-1:]) for a in arrays], axis)
+    return YProfile(grid, block) if sampled else YProfile(grid, poly=block)
 
 
 def _fit(p: YProfile, size: int, ndim: int) -> YProfile:
@@ -114,16 +118,27 @@ class HarmonicScalar:
     def _like(self, block: YProfile) -> "HarmonicScalar":
         """Scalar with this freshly computed block, its j = 0 sine slot set
         to zero whatever the operation left there (-0.0, NaN)."""
-        block.values[1, 0] = 0.0
-        if block.poly is not None:
-            block.poly[1, 0] = 0.0
+        block.data[1, 0] = 0.0
+        return self._view(block)
+
+    def _view(self, block: YProfile) -> "HarmonicScalar":
         out = object.__new__(HarmonicScalar)
         out.params, out.grid, out.block = self.params, self.grid, block
         return out
 
     @property
     def _size(self) -> int:
-        return self.block.values.shape[1]
+        return self.block.data.shape[1]
+
+    def row(self, i) -> "HarmonicScalar":
+        """A view of the rows of a stacked scalar (see stack) that the
+        numpy index i selects, counted from the first row axis."""
+        i = i if isinstance(i, tuple) else (i,)
+        return self._view(_map(self.block, lambda a: a[(slice(None), slice(None)) + i]))
+
+    def swap_rows(self) -> "HarmonicScalar":
+        """A view with the first two row axes swapped."""
+        return self._view(_map(self.block, lambda a: a.swapaxes(2, 3)))
 
     def put(self, j: int, a: YProfile, b: YProfile):
         data = dict(self.items())
@@ -144,7 +159,7 @@ class HarmonicScalar:
         return [(j, self.get(j)) for j in self.harmonics()]
 
     def harmonics(self) -> list[int]:
-        live = np.any(self.block.values.reshape(2, self._size, -1), axis=(0, 2))
+        live = np.any(self.block.data.reshape(2, self._size, -1), axis=(0, 2))
         return np.flatnonzero(live).tolist()
 
     def copy(self) -> "HarmonicScalar":
@@ -164,7 +179,7 @@ class HarmonicScalar:
     def __add__(self, other: "HarmonicScalar") -> "HarmonicScalar":
         self._compat(other)
         size = max(self._size, other._size)
-        ndim = max(self.block.values.ndim, other.block.values.ndim)
+        ndim = max(self.block.data.ndim, other.block.data.ndim)
         return self._like(_fit(self.block, size, ndim) + _fit(other.block, size, ndim))
 
     def __sub__(self, other: "HarmonicScalar") -> "HarmonicScalar":
@@ -244,9 +259,13 @@ def harmonic_product(f: HarmonicScalar, g: HarmonicScalar) -> HarmonicScalar:
 
         cos cos -> (cos d + cos s) / 2,      sin sin -> (cos d - cos s) / 2,
         sin cos -> (sin s + sgn sin d) / 2,  cos sin -> (sin s - sgn sin d) / 2.
+
+    The matrix multiplies each row of a block on its own, so a row gets the
+    same bits in any block: products of a stacked scalar that are equal up
+    to sign cancel exactly, as they do one at a time.
     """
     f._compat(g)
-    ndim = max(f.block.values.ndim, g.block.values.ndim)
+    ndim = max(f.block.data.ndim, g.block.data.ndim)
     jf, jg = (np.array(h.harmonics() or [0]) for h in (f, g))
     # axes: f slot, g slot, j1, j2, then rows and y
     x1 = _map(_fit(f.block, f._size, ndim), lambda a: a[:, None, jf, None])
@@ -258,9 +277,24 @@ def harmonic_product(f: HarmonicScalar, g: HarmonicScalar) -> HarmonicScalar:
     M = np.array([[[d + s, o], [o, d - s]], [[o, s - sgn * d], [s + sgn * d, o]]])
     M = M.transpose(0, 3, 1, 2, 4, 5).reshape(2 * len(k), -1)
     out = (2, len(k))
-    return f._like(
-        _map(x1 * x2, lambda a: (M @ a.reshape(M.shape[1], -1)).reshape(out + a.shape[4:]))
-    )
+
+    def contract(a):
+        rows = np.moveaxis(a.reshape(M.shape[1:] + a.shape[4:]), 0, -2)
+        return np.moveaxis(M @ rows, -2, 0).reshape(out + a.shape[4:])
+
+    return f._like(_map(x1 * x2, contract))
+
+
+def stack(scalars) -> HarmonicScalar:
+    """Scalars of one flow on a new first row axis (axis 2 of the block),
+    harmonics zero-padded to the longest and rows broadcast, so that each
+    operation acts on all of them at once; row(i) gives scalar i back."""
+    first = scalars[0]
+    for h in scalars[1:]:
+        first._compat(h)
+    size = max(h._size for h in scalars)
+    ndim = max(h.block.data.ndim for h in scalars)
+    return first._view(_stack(first.grid, [_fit(h.block, size, ndim) for h in scalars], 2))
 
 
 @dataclass

@@ -13,23 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .fieldops import HarmonicScalar, WaveField, gradient
+from .fieldops import HarmonicScalar, WaveField, gradient, stack
 from .spectral import ChebGrid, YProfile
 
 
 @dataclass
 class BVPSpec:
-    """One wall-normal boundary value problem.
+    """One wall-normal boundary value problem, or a block of them that
+    share the operator: rhs may carry leading row axes.
 
-    bc_values is ordered (value at y = +1, value at y = -1); for Neumann
-    problems the values prescribe du/dy (not the outward normal derivative)
-    at the two walls.
+    bc_values is ordered (value at y = +1, value at y = -1), each a number
+    or an array with one value per row of rhs; for Neumann problems the
+    values prescribe du/dy (not the outward normal derivative) at the two
+    walls.
     """
 
     helmholtz_k2: float
     rhs: YProfile
     bc_kind: str = "dirichlet"
-    bc_values: tuple[float, float] = (0.0, 0.0)
+    bc_values: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if self.helmholtz_k2 < 0:
@@ -51,7 +53,7 @@ def solve_bvp(spec: BVPSpec, grid: ChebGrid) -> YProfile:
 
 
 def _dirichlet(k2, rhs_vals, grid, bc):
-    """All rows of rhs_vals (shape (n,) or (rows, n)) in one solve."""
+    """All rows of rhs_vals (shape (..., n)) in one solve."""
     n = grid.n
     A = grid.D2 - k2 * np.eye(n)
     b = np.array(rhs_vals, dtype=float)
@@ -61,11 +63,11 @@ def _dirichlet(k2, rhs_vals, grid, bc):
     A[-1] = 0.0
     A[-1, -1] = 1.0
     b[..., -1] = bc[1]
-    return np.linalg.solve(A, b.T).T
+    return np.linalg.solve(A, b.reshape(-1, n).T).T.reshape(b.shape)
 
 
 def _neumann(k2, rhs_vals, grid, bc):
-    """All rows of rhs_vals (shape (n,) or (rows, n)) in one solve."""
+    """All rows of rhs_vals (shape (..., n)) in one solve."""
     n = grid.n
     A = grid.D2 - k2 * np.eye(n)
     b = np.array(rhs_vals, dtype=float)
@@ -77,7 +79,7 @@ def _neumann(k2, rhs_vals, grid, bc):
         # pure Neumann problem: check solvability row by row, then fix the
         # additive constant with a mean-zero gauge row and a least squares
         # solve
-        bc_scale = max(1.0, abs(bc[0]), abs(bc[1]))
+        bc_scale = np.maximum(1.0, np.maximum(np.abs(bc[0]), np.abs(bc[1])))
         scale = np.maximum(np.max(np.abs(rhs_vals), axis=-1), bc_scale)
         mismatch = np.abs(rhs_vals @ grid.weights - (bc[0] - bc[1]))
         if np.any(mismatch > 1e-8 * scale):
@@ -87,39 +89,45 @@ def _neumann(k2, rhs_vals, grid, bc):
             )
         A2 = np.vstack([A, grid.weights])
         b2 = np.concatenate([b, np.zeros(b.shape[:-1] + (1,))], axis=-1)
-        sol, *_ = np.linalg.lstsq(A2, b2.T, rcond=None)
-        return sol.T
-    return np.linalg.solve(A, b.T).T
+        sol, *_ = np.linalg.lstsq(A2, b2.reshape(-1, n + 1).T, rcond=None)
+        return sol.T.reshape(b.shape)
+    return np.linalg.solve(A, b.reshape(-1, n).T).T.reshape(b.shape)
 
 
 def solve_dudt(forcing: WaveField) -> WaveField:
     """Velocity time derivative from its vector Poisson problem with
-    homogeneous Dirichlet walls, one harmonic per component at a time."""
+    homogeneous Dirichlet walls: one solve per harmonic, whose right-hand
+    side block holds every component, slot and row."""
     params, grid = forcing.params, forcing.grid
-    k2 = params.k2
-
-    def solve(comp):
-        return HarmonicScalar(params, grid, {
-            j: tuple(solve_bvp(BVPSpec(j * j * k2, p), grid) for p in pair)
-            for j, pair in comp.items()
-        })
-
-    return WaveField(*(solve(c) for c in forcing.components), params, grid)
+    # strip_poly evaluates each component once, and the forcing keeps the
+    # samples for its own max-abs
+    f = stack([c.strip_poly() for c in forcing.components])
+    rhs = f.block.values
+    out = np.zeros(rhs.shape)
+    for j in f.harmonics():
+        spec = BVPSpec(j * j * params.k2, YProfile(grid, rhs[:, j]))
+        out[:, j] = solve_bvp(spec, grid).values
+    du = f._like(YProfile(grid, out))
+    return WaveField(du.row(0), du.row(1), du.row(2), params, grid)
 
 
 def pressure_rhs(field: WaveField) -> HarmonicScalar:
     """Source term of the pressure Poisson equation,
-    -(du_j/dx_i)(du_i/dx_j), assembled in coefficient space."""
-    G = [gradient(c) for c in field.components]
-    q = HarmonicScalar.zero(field.params, field.grid)
-    for i in range(3):
-        for j in range(3):
-            q = q - G[j][i] * G[i][j]
+    -(du_j/dx_i)(du_i/dx_j), assembled in coefficient space: one
+    harmonic_product of the velocity gradient, stacked with rows (i, j),
+    and its transpose, with the terms added in the order i, j."""
+    grad = stack(gradient(stack(field.components)))
+    products = grad * grad.swap_rows()
+    q = -products.row((0, 0))
+    for i, j in np.ndindex(3, 3):
+        if i or j:
+            q = q - products.row((i, j))
     return q
 
 
 def solve_pressure(field: WaveField) -> HarmonicScalar:
-    """Pressure from its Poisson problem with Neumann walls.
+    """Pressure from its Poisson problem with Neumann walls, one solve per
+    harmonic for both slots and every row.
 
     The wall data comes from the wall-normal momentum balance,
     dp/dy = (1/Re) lap(u2) at y = +1 and y = -1. Harmonics j >= 1 are
@@ -127,16 +135,13 @@ def solve_pressure(field: WaveField) -> HarmonicScalar:
     """
     params, grid = field.params, field.grid
     Re = params.reynolds
-    q = pressure_rhs(field)
-    lap_u2 = field.u2.laplacian()
-
-    def solve(kk, rhs, lap):
-        return solve_bvp(BVPSpec(kk, rhs, "neumann", (lap.top / Re, lap.bottom / Re)), grid)
-
-    out = {}
-    for j in sorted(set(q.harmonics()) | set(lap_u2.harmonics())):
-        (qa, qb), (la, lb) = q.get(j), lap_u2.get(j)
-        kk = j * j * params.k2
-        # sin(0) = 0: the j = 0 mode has no sine slot to solve for
-        out[j] = (solve(kk, qa, la), YProfile.zero(grid) if j == 0 else solve(kk, qb, lb))
-    return HarmonicScalar(params, grid, out)
+    # rows: the source and the wall-normal viscous term
+    both = stack([pressure_rhs(field), field.u2.laplacian()])
+    vals = both.block.values
+    out = np.zeros(vals[:, :, 0].shape)
+    for j in both.harmonics():
+        lap = vals[:, j, 1]
+        bc = (lap[..., 0] / Re, lap[..., -1] / Re)
+        spec = BVPSpec(j * j * params.k2, YProfile(grid, vals[:, j, 0]), "neumann", bc)
+        out[:, j] = solve_bvp(spec, grid).values
+    return both._like(YProfile(grid, out))

@@ -47,7 +47,7 @@ leading row axis, so assemble takes a (rows, m) block of coefficient
 vectors and the unchanged pipeline (forcing, Dirichlet solves, divergence)
 evaluates the whole block at once, PROBE_BLOCK rows per run. The default
 probe set fits one block: each pipeline run has a fixed overhead of about
-9 ms, and a 66-row block holds about what the 64-row blocks of the full
+2 ms, and a 66-row block holds about what the 64-row blocks of the full
 probe set did, so peak memory, a measured cost of the search, stays put.
 """
 
@@ -57,10 +57,9 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .compat import forcing
+from .compat import _pipeline
 from .errors import ConfigurationError, DomainError
-from .fieldops import FlowParams, HarmonicScalar, WaveField, divergence
-from .poisson import solve_dudt
+from .fieldops import FlowParams, HarmonicScalar, WaveField
 from .spectral import ChebGrid, YProfile, cheb_grid, polymul
 
 RESIDUAL_HARMONICS = (1, 2)
@@ -166,8 +165,7 @@ def _defect_samples(field: WaveField, rows: int | None = None):
     zero profile, so the row count is taken from the caller, not from a
     profile's shape.
     """
-    f = forcing(field)
-    defect = divergence(solve_dudt(f))
+    f, _, defect = _pipeline(field)
     shape = (field.grid.n - 2,) if rows is None else (rows, field.grid.n - 2)
     parts = [
         np.broadcast_to(p.values[..., 1:-1], shape)

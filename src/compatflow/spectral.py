@@ -8,7 +8,6 @@ samples, file formats, CSV output) follows this ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -153,32 +152,48 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-@dataclass
 class YProfile:
-    """A scalar function of y sampled on a ChebGrid.
+    """A scalar function of y on a ChebGrid, held in one of two forms.
 
-    `values` holds the nodal samples (real or complex), shape (n,) for one
-    profile or (..., n) for a block of profiles that share every operation
-    (rows of a search block, harmonics of a HarmonicScalar). When the
-    profile is known to be a polynomial, `poly` carries its coefficients in
-    ascending powers of y, shape (d,) or (..., d);
-    arithmetic propagates the polynomial form where it stays exact and
-    drops it otherwise. Rows broadcast against single profiles, so a block
-    and a single profile go through the same code.
+    A sampled profile holds its nodal samples `values` (real or complex),
+    shape (n,) for one profile or (..., n) for a block of profiles that
+    share every operation (rows of a search block, harmonics of a
+    HarmonicScalar). A polynomial profile holds only its coefficients
+    `poly`, ascending powers of y, shape (d,) or (..., d): +, * and deriv
+    act on them exactly, and `values` is evaluated from them by Horner's
+    rule on first use and kept. `data` is the array a profile is held in.
+    An operation that mixes the two forms gives a sampled profile. Rows
+    broadcast against single profiles, so a block and a single profile go
+    through the same code.
     """
 
-    grid: ChebGrid
-    values: np.ndarray
-    poly: np.ndarray | None = None
+    __slots__ = ("grid", "poly", "_values")
+
+    def __init__(self, grid: ChebGrid, values=None, poly=None):
+        self.grid = grid
+        self.poly = poly
+        self._values = values
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _polyval(self.grid, self.poly)
+        return self._values
+
+    @property
+    def data(self) -> np.ndarray:
+        """The coefficients of a polynomial profile, the samples otherwise;
+        both have the rows as leading axes."""
+        return self._values if self.poly is None else self.poly
 
     @classmethod
     def zero(cls, grid: ChebGrid) -> "YProfile":
-        return cls(grid, np.zeros(grid.n), np.zeros(1))
+        return cls(grid, poly=np.zeros(1))
 
     @classmethod
     def from_poly(cls, grid: ChebGrid, coeffs) -> "YProfile":
         c = _finite(np.atleast_1d(np.asarray(coeffs, dtype=float)), "coefficients")
-        return cls(grid, _polyval(grid, c), c)
+        return cls(grid, poly=c)
 
     @classmethod
     def from_values(cls, grid: ChebGrid, values) -> "YProfile":
@@ -209,15 +224,14 @@ class YProfile:
         return float(np.max(np.abs(self.values)))
 
     def is_zero(self) -> bool:
-        """True when every sample of every row is zero."""
-        return not np.any(self.values)
+        """True when every sample (coefficient) of every row is zero."""
+        return not np.any(self.data)
 
     def __add__(self, other: "YProfile") -> "YProfile":
         self._check(other)
-        p = None
         if self.poly is not None and other.poly is not None:
-            p = polyadd(self.poly, other.poly)
-        return YProfile(self.grid, self.values + other.values, p)
+            return YProfile(self.grid, poly=polyadd(self.poly, other.poly))
+        return YProfile(self.grid, self.values + other.values)
 
     def __sub__(self, other: "YProfile") -> "YProfile":
         return self + (-1.0) * other
@@ -228,25 +242,24 @@ class YProfile:
     def __mul__(self, other):
         if isinstance(other, YProfile):
             self._check(other)
-            p = None
             if self.poly is not None and other.poly is not None:
-                p = polymul(self.poly, other.poly)
-            return YProfile(self.grid, self.values * other.values, p)
-        s = complex(other) if np.iscomplexobj(self.values) else float(other)
-        p = None if self.poly is None else s * self.poly
-        return YProfile(self.grid, s * self.values, p)
+                return YProfile(self.grid, poly=polymul(self.poly, other.poly))
+            return YProfile(self.grid, self.values * other.values)
+        s = complex(other) if np.iscomplexobj(self.data) else float(other)
+        if self.poly is not None:
+            return YProfile(self.grid, poly=s * self.poly)
+        return YProfile(self.grid, s * self.values)
 
     __rmul__ = __mul__
 
     def deriv(self) -> "YProfile":
-        """d/dy. Exact polynomial derivative when the form is known,
+        """d/dy. Exact polynomial derivative of a polynomial profile,
         collocation derivative otherwise, as one matrix-vector product per
         profile: a matrix-matrix product over a block sums in another order,
         and the third derivatives in the forcing of a sampled field amplify
         that to up to 3.5e-6 of the forcing scale at n = 128."""
         if self.poly is not None:
-            p = polyder(self.poly)
-            return YProfile(self.grid, _polyval(self.grid, p), p)
+            return YProfile(self.grid, poly=polyder(self.poly))
         return YProfile(self.grid, (self.values[..., None, :] @ self.grid.D.T)[..., 0, :])
 
     def __call__(self, yq):
@@ -257,5 +270,5 @@ class YProfile:
         return self.values @ self.grid.weights
 
     def strip_poly(self) -> "YProfile":
-        """Same samples with the polynomial annotation dropped."""
+        """Sampled profile with the same samples."""
         return YProfile(self.grid, self.values.copy())

@@ -1,4 +1,4 @@
-"""Shared field constructors for the test suite.
+"""Shared field constructors and a call counter for the test suite.
 
 Random fields are built through the polynomial algebra so that structural
 properties (no-slip, zero divergence) hold exactly rather than to rounding,
@@ -100,3 +100,17 @@ def rel_diff(f, g):
     if scale == 0.0:
         return 0.0
     return (f - g).max_abs() / scale
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch module.name to record the positional arguments of each call;
+    returns the list they are appended to."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

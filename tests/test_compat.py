@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import compatflow as cf
-from helpers import random_admissible, random_u2zero
+import compatflow.fieldops as fieldops
+import compatflow.spectral as spectral
+from compatflow.search import AnsatzSpec, assemble
+from helpers import count_calls, random_admissible, random_u2zero
 
 PARAMS = cf.FlowParams(1.0, 1.0, 80.0)
 G = cf.cheb_grid(64)
@@ -191,3 +194,70 @@ class TestZeroWallNormalFamily:
             rep = cf.check(random_u2zero(PARAMS, G, rng))
             vals.append(rep.tangential_rel)
         assert max(vals) > 1e-3
+
+
+def test_vorticity_rhs_is_one_product(monkeypatch):
+    """The 18 advection and stretching products are one stacked product."""
+    field = random_admissible(PARAMS, G, np.random.RandomState(50), harmonics=(1, 2, 3))
+    calls = count_calls(monkeypatch, fieldops, "harmonic_product")
+    cf.vorticity_rhs(field)
+    assert len(calls) == 1
+
+
+def test_forcing_of_polynomial_field_samples_nothing(monkeypatch):
+    """The forcing of a polynomial field stays in coefficients: no profile
+    is evaluated at the nodes on the way, and the result is polynomial."""
+    field = random_admissible(PARAMS, G, np.random.RandomState(51), harmonics=(0, 1, 2))
+    calls = count_calls(monkeypatch, spectral, "_polyval")
+    f = cf.forcing(field)
+    assert calls == []
+    assert all(c.block.poly is not None for c in f.components)
+    assert f.max_abs() > 0 and len(calls) == 3
+
+
+def _reference_forcing(field):
+    """The forcing assembled one component and one product at a time."""
+    params = field.params
+    w = cf.curl(field)
+    gu = [cf.gradient(c) for c in field.components]
+    gw = [cf.gradient(c) for c in w.components]
+    rhs = []
+    for i in range(3):
+        acc = (1.0 / params.reynolds) * w.components[i].laplacian()
+        for m in range(3):
+            acc = acc - field.components[m] * gw[i][m]
+            acc = acc + w.components[m] * gu[i][m]
+        rhs.append(acc)
+    return (-1.0) * cf.curl(cf.WaveField(*rhs, params, field.grid))
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_sampled_forcing_matches_per_component_loop(n):
+    """Stacking the components and products keeps every bit of the
+    forcing of a sampled field; a stacked block may carry more (zero)
+    harmonics than the per-component result."""
+    rng = np.random.default_rng(n)
+    params = cf.FlowParams(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5), 300.0)
+    grid = cf.cheb_grid(n)
+    u = random_admissible(params, grid, rng, harmonics=(0, 1, 2, 3)).strip_poly()
+    for got, want in zip(cf.forcing(u).components, _reference_forcing(u).components):
+        a, b = got.block.values, want.block.values
+        assert got.block.poly is None
+        k = min(a.shape[1], b.shape[1])
+        assert np.array_equal(a[:, :k], b[:, :k])
+        assert not a[:, k:].any() and not b[:, k:].any()
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_polynomial_and_sampled_defects_agree_at_high_degree(n):
+    """Coefficient-only evaluation stays accurate as the ansatz degree
+    grows: the defect of a polynomial field and of its sampled twin agree
+    to 1e-11 of the forcing scale at degrees 4 to 16."""
+    rng = np.random.default_rng(52)
+    grid = cf.cheb_grid(n)
+    for degree in (4, 8, 12, 16):
+        spec = AnsatzSpec(PARAMS, degree=degree)
+        u = assemble(spec, rng.standard_normal(spec.ncoeffs), grid)
+        exact, sampled = cf.check(u), cf.check(u.strip_poly())
+        gap = (exact.defect - sampled.defect).max_abs() / exact.forcing_max_abs
+        assert gap <= 1e-11, (degree, gap)

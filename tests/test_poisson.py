@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import compatflow as cf
+import compatflow.fieldops as fieldops
+import compatflow.poisson as poisson
 from compatflow.poisson import BVPSpec, solve_bvp, solve_dudt, solve_pressure
+from helpers import count_calls, random_admissible
 
 PARAMS = cf.FlowParams(1.0, 1.0, 80.0)
 G = cf.cheb_grid(64)
@@ -96,20 +99,27 @@ def test_neumann_solvability_violation():
         solve_bvp(spec, G)
 
 
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared-walls", "per-row-walls"])
 @pytest.mark.parametrize("k2", [2.5, 0.0])
-def test_neumann_row_block_matches_single_solves(k2):
+def test_neumann_row_block_matches_single_solves(k2, per_row):
     """A (rows, n) source solves row by row, like the Dirichlet solve; at
-    k2 = 0 each row is made solvable (its integral equals the net flux)."""
+    k2 = 0 each row is made solvable (its integral equals the net flux).
+    The wall data is one pair for all rows or one value per row and wall,
+    as in the one pressure solve per harmonic."""
     rng = np.random.RandomState(22)
-    bc = (0.7, -0.4)
+    if per_row:
+        bc = (rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5))
+    else:
+        bc = (0.7, -0.4)
     rhs = np.array([cf.YProfile.from_poly(G, rng.uniform(-1, 1, 6)).values
                     for _ in range(5)])
     if k2 == 0:
         rhs -= ((rhs @ G.weights - (bc[0] - bc[1])) / 2.0)[:, None]
     block = solve_bvp(BVPSpec(k2, cf.YProfile(G, rhs), "neumann", bc), G)
     assert block.values.shape == (5, G.n)
-    for row, f in zip(block.values, rhs):
-        one = solve_bvp(BVPSpec(k2, cf.YProfile(G, f), "neumann", bc), G).values
+    for r, (row, f) in enumerate(zip(block.values, rhs)):
+        one_bc = tuple(np.broadcast_to(v, (5,))[r] for v in bc)
+        one = solve_bvp(BVPSpec(k2, cf.YProfile(G, f), "neumann", one_bc), G).values
         assert np.max(np.abs(row - one)) <= 1e-12 * max(1.0, np.max(np.abs(one)))
 
 
@@ -166,3 +176,37 @@ def test_pressure_mean_mode_has_no_sine():
     p = solve_pressure(field)
     if 0 in p.harmonics():
         assert p.get(0)[1].is_zero()
+
+
+def _harmonics(*scalars):
+    return sorted(set().union(*(h.harmonics() for h in scalars)))
+
+
+def test_dudt_solves_once_per_harmonic(monkeypatch):
+    """Every component, slot and row of one harmonic share one solve."""
+    field = random_admissible(PARAMS, G, np.random.RandomState(40), harmonics=(0, 1, 3))
+    f = cf.forcing(field)
+    calls = count_calls(monkeypatch, poisson, "solve_bvp")
+    solve_dudt(f)
+    js = _harmonics(*f.components)
+    assert len(js) >= 5
+    assert [spec.helmholtz_k2 for spec, _ in calls] == [j * j * PARAMS.k2 for j in js]
+    assert all(spec.rhs.values.shape == (2, 3, G.n) for spec, _ in calls)
+
+
+def test_pressure_solves_once_per_harmonic(monkeypatch):
+    field = random_admissible(PARAMS, G, np.random.RandomState(41), harmonics=(1, 2))
+    js = _harmonics(poisson.pressure_rhs(field), field.u2.laplacian())
+    calls = count_calls(monkeypatch, poisson, "solve_bvp")
+    solve_pressure(field)
+    assert len(js) >= 4
+    assert [spec.helmholtz_k2 for spec, _ in calls] == [j * j * PARAMS.k2 for j in js]
+    assert all(spec.bc_kind == "neumann" for spec, _ in calls)
+    assert all(np.shape(spec.bc_values[0]) == (2,) for spec, _ in calls)
+
+
+def test_pressure_rhs_is_one_product(monkeypatch):
+    field = random_admissible(PARAMS, G, np.random.RandomState(42))
+    calls = count_calls(monkeypatch, fieldops, "harmonic_product")
+    poisson.pressure_rhs(field)
+    assert len(calls) == 1
