@@ -234,7 +234,7 @@ def cmd_oss(args) -> int:
         },
         os.path.join(args.out_dir, "oss_modes.json"),
     )
-    if args.mode_index >= len(modes):
+    if not 0 <= args.mode_index < len(modes):
         print(
             f"error: mode index {args.mode_index} out of range "
             f"({len(modes)} resolved modes)",

@@ -67,23 +67,22 @@ def vorticity_rhs(field: WaveField) -> WaveField:
         return float(np.max(np.abs(h.block.data)))
 
     div_rel = size(divergence(field))
-    scale = float(np.max([size(c) for c in field.components]))
+    scale = size(field.stacked)
     if scale > 0 and div_rel > DIVFREE_WARN_RTOL * scale:
         warnings.warn(
             f"input field divergence {div_rel / scale:.3e} relative; "
             "the vorticity route assumes a solenoidal field",
             stacklevel=2,
         )
-    params, grid = field.params, field.grid
-    u, w = stack(field.components), stack(curl(field).components)
+    u, w = field.stacked, curl(field).stacked
     products = stack([u, w]).row(np.s_[:, :, None]) * stack(
         [stack(gradient(w)), stack(gradient(u))]
     )
-    acc = (1.0 / params.reynolds) * w.laplacian()
+    acc = (1.0 / field.params.reynolds) * w.laplacian()
     for m in range(3):
         acc = acc - products.row((0, m))
         acc = acc + products.row((1, m))
-    return WaveField(acc.row(0), acc.row(1), acc.row(2), params, grid)
+    return WaveField.of(acc)
 
 
 def forcing(field: WaveField) -> WaveField:

@@ -40,12 +40,18 @@ def _bad(where: str, why: str) -> ConfigurationError:
     return ConfigurationError(f"field file: {where}: {why}")
 
 
+def _is_number(v) -> bool:
+    # json reads true and false as bools, which are ints to isinstance
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _num_list(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
-    ):
+    if not isinstance(obj, list) or not obj or not all(_is_number(v) for v in obj):
         raise _bad(where, "expected a non-empty list of numbers")
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise _bad(where, str(exc)) from exc
     # json reads NaN, Infinity and out-of-range literals such as 1e400 as
     # floats; a non-finite profile would slip through every comparison
     if not np.all(np.isfinite(arr)):
@@ -105,12 +111,14 @@ def load_field(path, n: int | None = None) -> WaveField:
     if not isinstance(pobj, dict):
         raise _bad("params", "expected an object with alpha, beta, reynolds")
     try:
-        params = FlowParams(
-            float(pobj["alpha"]), float(pobj["beta"]), float(pobj["reynolds"])
-        )
+        vals = [pobj[key] for key in ("alpha", "beta", "reynolds")]
     except KeyError as exc:
         raise _bad("params", f"missing entry {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    if not all(map(_is_number, vals)):
+        raise _bad("params", f"alpha, beta and reynolds must be numbers, got {vals}")
+    try:
+        params = FlowParams(*map(float, vals))
+    except (ConfigurationError, OverflowError) as exc:
         raise _bad("params", str(exc)) from exc
 
     n_file = doc.get("n")
@@ -130,7 +138,7 @@ def load_field(path, n: int | None = None) -> WaveField:
         if not isinstance(hobj, dict):
             raise _bad(where, "expected an object")
         j = hobj.get("j")
-        if not isinstance(j, int) or j < 0:
+        if not isinstance(j, int) or isinstance(j, bool) or j < 0:
             raise _bad(where + ".j", f"expected an integer >= 0, got {j!r}")
         if j in seen:
             raise _bad(where + ".j", f"harmonic {j} appears twice")
@@ -164,10 +172,8 @@ def load_field(path, n: int | None = None) -> WaveField:
         for name in _COMPONENTS:
             comp_data[name][j] = profs[name]
 
-    comps = [
-        HarmonicScalar(params, grid, comp_data[name]) for name in _COMPONENTS
-    ]
-    return WaveField(comps[0], comps[1], comps[2], params, grid)
+    comps = [HarmonicScalar(params, grid, comp_data[name]) for name in _COMPONENTS]
+    return WaveField(*comps, params, grid)
 
 
 def _continuity_u3(params, j, u1_pair, u2_pair, grid):
@@ -194,11 +200,8 @@ def _dump_profile(prof: YProfile) -> dict:
 
 
 def field_to_dict(field: WaveField) -> dict:
-    js = sorted(
-        set(field.u1.harmonics()) | set(field.u2.harmonics()) | set(field.u3.harmonics())
-    )
     harmonics = []
-    for j in js:
+    for j in field.stacked.harmonics():
         entry = {"j": j}
         for name, comp in zip(_COMPONENTS, field.components):
             a, b = comp.get(j)

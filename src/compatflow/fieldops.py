@@ -13,7 +13,9 @@ product is one outer product over the pairs of harmonics (j1, j2), summed
 into j1 + j2 and |j1 - j2| by the product-to-sum identities, so no
 collocation in theta and no aliasing is involved. A block keeps exact
 polynomial coefficients only when every profile in it has them. The j = 0
-sine slot multiplies sin(0) = 0 and is kept identically zero.
+sine slot multiplies sin(0) = 0 and is kept identically zero. A vector
+field is one such block with one more row axis, the component, so curl,
+the products and the solves act on all three components at once.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ class FlowParams:
     reynolds: float
 
     def __post_init__(self):
+        # NaN passes every comparison and reaches the solves as a singular
+        # matrix; Infinity gives NaN there
+        if not np.all(np.isfinite([self.alpha, self.beta, self.reynolds])):
+            raise ConfigurationError(
+                f"alpha, beta and reynolds must be finite, got "
+                f"{self.alpha}, {self.beta}, {self.reynolds}"
+            )
         if self.reynolds <= 0:
             raise ConfigurationError(f"reynolds must be positive, got {self.reynolds}")
 
@@ -74,11 +83,13 @@ def _stack(grid: ChebGrid, profiles, axis: int = 0) -> YProfile:
 
 def _fit(p: YProfile, size: int, ndim: int) -> YProfile:
     """Scalar block with `size` harmonics (zeros appended) and unit row
-    axes inserted after the harmonic axis up to `ndim` dimensions."""
+    axes appended after its own rows up to `ndim` dimensions, so that the
+    first row axes of two blocks line up (the component axis of a field
+    against that of a block of fields)."""
 
     def fit(a):
         if a.ndim < ndim:
-            a = a.reshape(a.shape[:2] + (1,) * (ndim - a.ndim) + a.shape[2:])
+            a = a.reshape(a.shape[:-1] + (1,) * (ndim - a.ndim) + a.shape[-1:])
         if a.shape[1] == size:
             return a
         out = np.zeros(a.shape[:1] + (size,) + a.shape[2:], a.dtype)
@@ -131,8 +142,9 @@ class HarmonicScalar:
         return self.block.data.shape[1]
 
     def row(self, i) -> "HarmonicScalar":
-        """A view of the rows of a stacked scalar (see stack) that the
-        numpy index i selects, counted from the first row axis."""
+        """The rows of a stacked scalar (see stack) that the numpy index i
+        selects, counted from the first row axis; a view unless i is a
+        fancy index."""
         i = i if isinstance(i, tuple) else (i,)
         return self._view(_map(self.block, lambda a: a[(slice(None), slice(None)) + i]))
 
@@ -287,8 +299,9 @@ def harmonic_product(f: HarmonicScalar, g: HarmonicScalar) -> HarmonicScalar:
 
 def stack(scalars) -> HarmonicScalar:
     """Scalars of one flow on a new first row axis (axis 2 of the block),
-    harmonics zero-padded to the longest and rows broadcast, so that each
-    operation acts on all of them at once; row(i) gives scalar i back."""
+    harmonics zero-padded to the longest and rows broadcast (see _fit), so
+    that each operation acts on all of them at once; row(i) gives scalar i
+    back."""
     first = scalars[0]
     for h in scalars[1:]:
         first._compat(h)
@@ -297,53 +310,60 @@ def stack(scalars) -> HarmonicScalar:
     return first._view(_stack(first.grid, [_fit(h.block, size, ndim) for h in scalars], 2))
 
 
-@dataclass
 class WaveField:
     """Velocity-like vector field with components (u1, u2, u3) =
-    (streamwise, wall-normal, spanwise)."""
+    (streamwise, wall-normal, spanwise), held as one stacked scalar whose
+    first row axis is the component (see stack), so that every operation
+    acts on the three components at once. u1, u2, u3 and components are
+    read-only views of its rows: writing to one (put) leaves the field as
+    it was. A field that mixes polynomial and sampled components is held
+    sampled as a whole."""
 
-    u1: HarmonicScalar
-    u2: HarmonicScalar
-    u3: HarmonicScalar
-    params: FlowParams
-    grid: ChebGrid
-
-    def __post_init__(self):
-        for c in (self.u1, self.u2, self.u3):
-            if c.grid != self.grid or c.params != self.params:
+    def __init__(self, u1, u2, u3, params: FlowParams, grid: ChebGrid):
+        for c in (u1, u2, u3):
+            if c.grid != grid or c.params != params:
                 raise ConfigurationError("component grid/params mismatch")
+        self.stacked = stack([u1, u2, u3])
+        self.params, self.grid = params, grid
+
+    @classmethod
+    def of(cls, stacked: HarmonicScalar) -> "WaveField":
+        """The field whose components are rows 0, 1, 2 of the first row
+        axis of a stacked scalar, held as it is, without restacking."""
+        out = object.__new__(cls)
+        out.stacked, out.params, out.grid = stacked, stacked.params, stacked.grid
+        return out
 
     @classmethod
     def zero(cls, params: FlowParams, grid: ChebGrid) -> "WaveField":
         z = HarmonicScalar.zero(params, grid)
-        return cls(z, z.copy(), z.copy(), params, grid)
+        return cls(z, z, z, params, grid)
+
+    u1 = property(lambda self: self.stacked.row(0))
+    u2 = property(lambda self: self.stacked.row(1))
+    u3 = property(lambda self: self.stacked.row(2))
 
     @property
     def components(self) -> tuple[HarmonicScalar, HarmonicScalar, HarmonicScalar]:
         return (self.u1, self.u2, self.u3)
 
     def max_abs(self) -> float:
-        return float(np.max([c.max_abs() for c in self.components]))
+        return self.stacked.max_abs()
 
     def l2(self) -> float:
         return float(np.sqrt(sum(c.l2() ** 2 for c in self.components)))
 
-    def _zip(self, fn, *others) -> "WaveField":
-        """Field of fn(u_i, other.u_i, ...) per component."""
-        comps = zip(self.components, *(o.components for o in others))
-        return WaveField(*(fn(*c) for c in comps), self.params, self.grid)
-
     def strip_poly(self) -> "WaveField":
-        return self._zip(HarmonicScalar.strip_poly)
+        return WaveField.of(self.stacked.strip_poly())
 
     def __add__(self, other: "WaveField") -> "WaveField":
-        return self._zip(lambda a, b: a + b, other)
+        return WaveField.of(self.stacked + other.stacked)
 
     def __sub__(self, other: "WaveField") -> "WaveField":
-        return self._zip(lambda a, b: a - b, other)
+        return WaveField.of(self.stacked - other.stacked)
 
     def __mul__(self, s):
-        return self._zip(lambda c: s * c)
+        return WaveField.of(s * self.stacked)
 
     __rmul__ = __mul__
 
@@ -353,14 +373,11 @@ def divergence(field: WaveField) -> HarmonicScalar:
 
 
 def curl(field: WaveField) -> WaveField:
-    u1, u2, u3 = field.components
-    return WaveField(
-        u3.dy() - u2.dz(),
-        u1.dz() - u3.dx(),
-        u2.dx() - u1.dy(),
-        field.params,
-        field.grid,
-    )
+    """One stacked gradient, rows (derivative, component), and one
+    subtraction of two sets of its rows: (dy u3, dz u1, dx u2) minus
+    (dz u2, dx u3, dy u1)."""
+    g = stack(gradient(field.stacked))
+    return WaveField.of(g.row(([1, 2, 0], [2, 0, 1])) - g.row(([2, 0, 1], [1, 2, 0])))
 
 
 def gradient(f: HarmonicScalar):

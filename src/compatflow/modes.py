@@ -51,7 +51,7 @@ def poiseuille_base(params: FlowParams, grid: ChebGrid) -> WaveField:
         {0: (YProfile.from_poly(grid, [1.0, 0.0, -1.0]), YProfile.zero(grid))},
     )
     z = HarmonicScalar.zero(params, grid)
-    return WaveField(u1, z, z.copy(), params, grid)
+    return WaveField(u1, z, z, params, grid)
 
 
 def _os_pencil(params: FlowParams, grid: ChebGrid):

@@ -43,45 +43,25 @@ class BVPSpec:
 
 
 def solve_bvp(spec: BVPSpec, grid: ChebGrid) -> YProfile:
+    """All rows of spec.rhs (shape (..., n)) in one solve. The first and
+    last rows of the operator are replaced by the wall conditions: the
+    value for Dirichlet problems, du/dy for Neumann ones."""
     if spec.rhs.grid != grid:
         raise ConfigurationError("rhs profile lives on a different grid")
-    if spec.bc_kind == "dirichlet":
-        vals = _dirichlet(spec.helmholtz_k2, spec.rhs.values, grid, spec.bc_values)
-    else:
-        vals = _neumann(spec.helmholtz_k2, spec.rhs.values, grid, spec.bc_values)
-    return YProfile(grid, vals)
-
-
-def _dirichlet(k2, rhs_vals, grid, bc):
-    """All rows of rhs_vals (shape (..., n)) in one solve."""
-    n = grid.n
+    n, k2, bc = grid.n, spec.helmholtz_k2, spec.bc_values
+    rhs = spec.rhs.values
     A = grid.D2 - k2 * np.eye(n)
-    b = np.array(rhs_vals, dtype=float)
-    A[0] = 0.0
-    A[0, 0] = 1.0
-    b[..., 0] = bc[0]
-    A[-1] = 0.0
-    A[-1, -1] = 1.0
-    b[..., -1] = bc[1]
-    return np.linalg.solve(A, b.reshape(-1, n).T).T.reshape(b.shape)
-
-
-def _neumann(k2, rhs_vals, grid, bc):
-    """All rows of rhs_vals (shape (..., n)) in one solve."""
-    n = grid.n
-    A = grid.D2 - k2 * np.eye(n)
-    b = np.array(rhs_vals, dtype=float)
-    A[0] = grid.D[0]
-    b[..., 0] = bc[0]
-    A[-1] = grid.D[-1]
-    b[..., -1] = bc[1]
-    if k2 == 0:
+    wall = np.eye(n) if spec.bc_kind == "dirichlet" else grid.D
+    A[0], A[-1] = wall[0], wall[-1]
+    b = np.array(rhs, dtype=float)
+    b[..., 0], b[..., -1] = bc
+    if spec.bc_kind == "neumann" and k2 == 0:
         # pure Neumann problem: check solvability row by row, then fix the
         # additive constant with a mean-zero gauge row and a least squares
         # solve
         bc_scale = np.maximum(1.0, np.maximum(np.abs(bc[0]), np.abs(bc[1])))
-        scale = np.maximum(np.max(np.abs(rhs_vals), axis=-1), bc_scale)
-        mismatch = np.abs(rhs_vals @ grid.weights - (bc[0] - bc[1]))
+        scale = np.maximum(np.max(np.abs(rhs), axis=-1), bc_scale)
+        mismatch = np.abs(rhs @ grid.weights - (bc[0] - bc[1]))
         if np.any(mismatch > 1e-8 * scale):
             raise NumericalError(
                 "Neumann problem at k2=0 is not solvable: flux/source mismatch "
@@ -90,8 +70,8 @@ def _neumann(k2, rhs_vals, grid, bc):
         A2 = np.vstack([A, grid.weights])
         b2 = np.concatenate([b, np.zeros(b.shape[:-1] + (1,))], axis=-1)
         sol, *_ = np.linalg.lstsq(A2, b2.reshape(-1, n + 1).T, rcond=None)
-        return sol.T.reshape(b.shape)
-    return np.linalg.solve(A, b.reshape(-1, n).T).T.reshape(b.shape)
+        return YProfile(grid, sol.T.reshape(b.shape))
+    return YProfile(grid, np.linalg.solve(A, b.reshape(-1, n).T).T.reshape(b.shape))
 
 
 def solve_dudt(forcing: WaveField) -> WaveField:
@@ -99,16 +79,15 @@ def solve_dudt(forcing: WaveField) -> WaveField:
     homogeneous Dirichlet walls: one solve per harmonic, whose right-hand
     side block holds every component, slot and row."""
     params, grid = forcing.params, forcing.grid
-    # strip_poly evaluates each component once, and the forcing keeps the
+    # strip_poly evaluates the forcing once, and the forcing keeps the
     # samples for its own max-abs
-    f = stack([c.strip_poly() for c in forcing.components])
+    f = forcing.stacked.strip_poly()
     rhs = f.block.values
     out = np.zeros(rhs.shape)
     for j in f.harmonics():
         spec = BVPSpec(j * j * params.k2, YProfile(grid, rhs[:, j]))
         out[:, j] = solve_bvp(spec, grid).values
-    du = f._like(YProfile(grid, out))
-    return WaveField(du.row(0), du.row(1), du.row(2), params, grid)
+    return WaveField.of(f._like(YProfile(grid, out)))
 
 
 def pressure_rhs(field: WaveField) -> HarmonicScalar:
@@ -116,7 +95,7 @@ def pressure_rhs(field: WaveField) -> HarmonicScalar:
     -(du_j/dx_i)(du_i/dx_j), assembled in coefficient space: one
     harmonic_product of the velocity gradient, stacked with rows (i, j),
     and its transpose, with the terms added in the order i, j."""
-    grad = stack(gradient(stack(field.components)))
+    grad = stack(gradient(field.stacked))
     products = grad * grad.swap_rows()
     q = -products.row((0, 0))
     for i, j in np.ndindex(3, 3):

@@ -155,23 +155,12 @@ def assemble(spec: AnsatzSpec, coeffs, grid: ChebGrid | None = None) -> WaveFiel
     return WaveField(u1, u2, u3, params, grid)
 
 
-def _defect_samples(field: WaveField, rows: int | None = None):
+def _defect_samples(field: WaveField):
     """Interior defect samples of harmonics 1 and 2, and the forcing
-    max-abs (over all rows).
-
-    For a block from assemble, rows is its row count and the samples come
-    back as (rows, nr). A component built without a free slot has no row
-    axis, and a harmonic the defect does not reach comes back as a single
-    zero profile, so the row count is taken from the caller, not from a
-    profile's shape.
-    """
+    max-abs (over all rows). For a block from assemble the samples come
+    back as (rows, nr)."""
     f, _, defect = _pipeline(field)
-    shape = (field.grid.n - 2,) if rows is None else (rows, field.grid.n - 2)
-    parts = [
-        np.broadcast_to(p.values[..., 1:-1], shape)
-        for j in RESIDUAL_HARMONICS
-        for p in defect.get(j)
-    ]
+    parts = [p.values[..., 1:-1] for j in RESIDUAL_HARMONICS for p in defect.get(j)]
     return np.concatenate(parts, axis=-1), f.max_abs()
 
 
@@ -220,7 +209,7 @@ class _QuadraticModel:
         q, p = np.triu_indices(k, k=1)
         probes = np.vstack([np.zeros((1, m)), eye, -eye, eye[q] + eye[p]])
         R = np.vstack([
-            _defect_samples(assemble(spec, block, grid), len(block))[0]
+            _defect_samples(assemble(spec, block, grid))[0]
             for block in np.split(probes, range(PROBE_BLOCK, len(probes), PROBE_BLOCK))
         ])
         r0, rp, rm, rqp = R[0], R[1 : k + 1], R[k + 1 : 2 * k + 1], R[2 * k + 1 :]

@@ -191,21 +191,45 @@ def test_check_malformed_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
-                         ids=["nan", "+inf", "-inf"])
-def test_check_rejects_non_finite_file(tmp_path, capsys, bad):
+@pytest.mark.parametrize(
+    "key, bad, why",
+    [("u2", float("nan"), "finite"), ("u2", float("inf"), "finite"),
+     ("u2", -float("inf"), "finite"), ("alpha", float("nan"), "finite"),
+     ("beta", -float("inf"), "finite"), ("reynolds", float("inf"), "finite"),
+     ("alpha", "1.5", "number"), ("alpha", True, "number"), ("j", True, "integer"),
+     ("u2", 10**400, "too large"), ("reynolds", 10**400, "too large")],
+    ids=["nan", "+inf", "-inf", "alpha-nan", "beta--inf", "reynolds-inf",
+         "alpha-string", "alpha-bool", "j-bool", "u2-huge-int", "reynolds-huge-int"])
+def test_check_rejects_non_finite_file(tmp_path, capsys, key, bad, why):
     # u2 cos samples that are all NaN used to load and get "compatible"
-    # with a defect and forcing scale of 0.0
+    # with a defect and forcing scale of 0.0; a NaN alpha ended in a
+    # LinAlgError traceback, and "j": true was read as harmonic 1
     g = cf.cheb_grid(16)
     doc = field_to_dict(cf.example_field(PARAMS, g).strip_poly())
-    doc["harmonics"][0]["u2"]["cos"] = {"values": [bad] * g.n}
+    if key == "u2":
+        doc["harmonics"][0]["u2"]["cos"] = {"values": [bad] * g.n}
+    elif key == "j":
+        doc["harmonics"][0]["j"] = bad
+    else:
+        doc["params"][key] = bad
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "chk"
     rc = main(["check", str(path), "-o", str(out)])
     assert rc == 1
-    assert "finite" in capsys.readouterr().err
+    assert why in capsys.readouterr().err
     assert not (out / "report.json").exists()
+    assert main(["validate", str(path)]) == 1
+
+
+@pytest.mark.parametrize("argv", [["find", "--reynolds", "nan"], ["oss", "--alpha", "nan"]],
+                         ids=["find", "oss"])
+def test_cli_rejects_non_finite_params(tmp_path, capsys, argv):
+    rc = main(argv + ["-o", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_check_rejects_overflowing_field(tmp_path, capsys):
@@ -283,10 +307,12 @@ def test_oss_reports_dropped_eigenvalues(tmp_path, capsys):
 
 
 def test_oss_mode_index_out_of_range(tmp_path, capsys):
-    rc = main(["oss", "--alpha", "1", "--beta", "1", "--reynolds", "80",
-               "--mode-index", "99", "-o", str(tmp_path)])
-    assert rc == 1
-    assert "index" in capsys.readouterr().err
+    for index in ("99", "-1"):
+        rc = main(["oss", "--alpha", "1", "--beta", "1", "--reynolds", "80",
+                   "--mode-index", index, "-o", str(tmp_path)])
+        assert rc == 1
+        assert "index" in capsys.readouterr().err
+        assert not (tmp_path / "mode_field.json").exists()
 
 
 def test_find_writes_root_field(tmp_path, capsys):

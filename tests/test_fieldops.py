@@ -319,6 +319,38 @@ def test_divergence_of_curl_vanishes():
         assert cf.divergence(cf.curl(u)).max_abs() < 1e-11 * max(1.0, u.max_abs())
 
 
+def _row_scalar(rng, harmonics, degree, rows):
+    """Random polynomial scalar whose profiles carry `rows` leading rows
+    (none when rows is None)."""
+    shape = (degree + 1,) if rows is None else (rows, degree + 1)
+    draw = lambda: cf.YProfile(GRID, poly=rng.uniform(-1, 1, shape))
+    return cf.HarmonicScalar(PARAMS, GRID, {j: (draw(), draw()) for j in harmonics})
+
+
+@pytest.mark.parametrize("rows", [None, 4], ids=["single", "rows"])
+@pytest.mark.parametrize("sampled", [False, True], ids=["poly", "sampled"])
+def test_block_curl_and_divergence_match_per_component_formulas(sampled, rows):
+    """curl and divergence of the stacked field equal, bit for bit, the
+    per-component formulas on separately held components with their own
+    harmonic counts and degrees; with rows, u1 has none and broadcasts."""
+    rng = np.random.default_rng(61)
+    u1 = _row_scalar(rng, (0, 1), 3, None)
+    u2 = _row_scalar(rng, (1, 2, 3), 5, rows)
+    u3 = _row_scalar(rng, (2,), 2, rows)
+    if sampled:
+        u1, u2, u3 = (c.strip_poly() for c in (u1, u2, u3))
+    field = cf.WaveField(u1, u2, u3, PARAMS, GRID)
+    got = [*cf.curl(field).components, cf.divergence(field)]
+    want = [u3.dy() - u2.dz(), u1.dz() - u3.dx(), u2.dx() - u1.dy(),
+            u1.dx() + u2.dy() + u3.dz()]
+    for g, w in zip(got, want):
+        assert (g.block.poly is None) == sampled
+        a, b = g.block.values, w.block.values
+        k = min(a.shape[1], b.shape[1])
+        assert np.array_equal(a[:, :k], b[:, :k])
+        assert not a[:, k:].any() and not b[:, k:].any()
+
+
 def test_l2_volume_mean_convention():
     one = cf.HarmonicScalar.zero(PARAMS, GRID)
     one.put(0, prof(GRID, [1.0]), cf.YProfile.zero(GRID))

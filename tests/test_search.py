@@ -102,7 +102,7 @@ def test_block_rows_match_scalar_evaluation(zero_cols):
     C = rng.uniform(-1, 1, (7, SPEC.ncoeffs))
     if zero_cols is not None:
         C[:, zero_cols] = 0.0
-    R, _ = _defect_samples(assemble(SPEC, C, G), len(C))
+    R, _ = _defect_samples(assemble(SPEC, C, G))
     assert R.shape == (7, 4 * (G.n - 2))
     for row, c in zip(R, C):
         r, fscale = _defect_samples(assemble(SPEC, c, G))
@@ -183,9 +183,10 @@ def test_model_probes_only_u2_in_one_pipeline_run(monkeypatch):
     rows = []
     orig = search._defect_samples
 
-    def counting(field, nrows=None):
-        rows.append(nrows)
-        return orig(field, nrows)
+    def counting(field):
+        out = orig(field)
+        rows.append(len(out[0]))
+        return out
 
     monkeypatch.setattr(search, "_defect_samples", counting)
     model = _QuadraticModel(SPEC, G)
