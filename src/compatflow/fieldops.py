@@ -373,10 +373,13 @@ def divergence(field: WaveField) -> HarmonicScalar:
 
 
 def curl(field: WaveField) -> WaveField:
-    """One stacked gradient, rows (derivative, component), and one
-    subtraction of two sets of its rows: (dy u3, dz u1, dx u2) minus
+    return _curl(stack(gradient(field.stacked)))
+
+
+def _curl(g: HarmonicScalar) -> WaveField:
+    """Curl from a stacked gradient, rows (derivative, component): one
+    subtraction of two sets of its rows, (dy u3, dz u1, dx u2) minus
     (dz u2, dx u3, dy u1)."""
-    g = stack(gradient(field.stacked))
     return WaveField.of(g.row(([1, 2, 0], [2, 0, 1])) - g.row(([2, 0, 1], [1, 2, 0])))
 
 

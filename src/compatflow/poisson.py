@@ -42,6 +42,20 @@ class BVPSpec:
             raise ConfigurationError(f"unknown bc_kind {self.bc_kind!r}")
 
 
+def require_neumann_solvable(rhs: np.ndarray, bc: tuple, grid: ChebGrid):
+    """Raise NumericalError unless every row of u'' = rhs with du/dy =
+    bc[0] at y = +1 and bc[1] at y = -1 is solvable: the integral of rhs
+    must equal the net flux, to 1e-8 of the row's scale."""
+    bc_scale = np.maximum(1.0, np.maximum(np.abs(bc[0]), np.abs(bc[1])))
+    scale = np.maximum(np.max(np.abs(rhs), axis=-1), bc_scale)
+    mismatch = np.abs(rhs @ grid.weights - (bc[0] - bc[1]))
+    if np.any(mismatch > 1e-8 * scale):
+        raise NumericalError(
+            "Neumann problem at k2=0 is not solvable: flux/source mismatch "
+            f"{np.max(mismatch):.3e} (integral of rhs must equal the net flux)"
+        )
+
+
 def solve_bvp(spec: BVPSpec, grid: ChebGrid) -> YProfile:
     """All rows of spec.rhs (shape (..., n)) in one solve. The first and
     last rows of the operator are replaced by the wall conditions: the
@@ -59,14 +73,7 @@ def solve_bvp(spec: BVPSpec, grid: ChebGrid) -> YProfile:
         # pure Neumann problem: check solvability row by row, then fix the
         # additive constant with a mean-zero gauge row and a least squares
         # solve
-        bc_scale = np.maximum(1.0, np.maximum(np.abs(bc[0]), np.abs(bc[1])))
-        scale = np.maximum(np.max(np.abs(rhs), axis=-1), bc_scale)
-        mismatch = np.abs(rhs @ grid.weights - (bc[0] - bc[1]))
-        if np.any(mismatch > 1e-8 * scale):
-            raise NumericalError(
-                "Neumann problem at k2=0 is not solvable: flux/source mismatch "
-                f"{np.max(mismatch):.3e} (integral of rhs must equal the net flux)"
-            )
+        require_neumann_solvable(rhs, bc, grid)
         A2 = np.vstack([A, grid.weights])
         b2 = np.concatenate([b, np.zeros(b.shape[:-1] + (1,))], axis=-1)
         sol, *_ = np.linalg.lstsq(A2, b2.reshape(-1, n + 1).T, rcond=None)
@@ -79,9 +86,7 @@ def solve_dudt(forcing: WaveField) -> WaveField:
     homogeneous Dirichlet walls: one solve per harmonic, whose right-hand
     side block holds every component, slot and row."""
     params, grid = forcing.params, forcing.grid
-    # strip_poly evaluates the forcing once, and the forcing keeps the
-    # samples for its own max-abs
-    f = forcing.stacked.strip_poly()
+    f = forcing.stacked
     rhs = f.block.values
     out = np.zeros(rhs.shape)
     for j in f.harmonics():

@@ -7,8 +7,9 @@ The ansatz is a single-harmonic field with built-in no-slip factors:
     u3:           from continuity (never free)
 
 with c(y) a free polynomial of the configured degree per slot. The residual
-is the divergence defect of the resulting du/dt, sampled at interior nodes
-of the harmonics it can populate.
+is the divergence defect of the resulting du/dt in the harmonics it can
+populate, 1 and 2: the two wall values of each slot, which fix its profile
+and are wall moments of the forcing (see compat), 8 numbers in all.
 
 The defect is a quadratic polynomial map of the coefficient vector: the
 field is linear in the coefficients and the pipeline applies exactly one
@@ -44,11 +45,10 @@ u1 probes again.
 
 The probes do not run the pipeline one by one. Profiles carry an optional
 leading row axis, so assemble takes a (rows, m) block of coefficient
-vectors and the unchanged pipeline (forcing, Dirichlet solves, divergence)
-evaluates the whole block at once, PROBE_BLOCK rows per run. The default
-probe set fits one block: each pipeline run has a fixed overhead of about
-2 ms, and a 66-row block holds about what the 64-row blocks of the full
-probe set did, so peak memory, a measured cost of the search, stays put.
+vectors and the pipeline (forcing, then the wall moments of its u2
+component) evaluates the whole block at once, PROBE_BLOCK rows per run.
+The default 66 probes fit one block, and L (8, m) and B (8, m, m) come
+from one (66, 8) array of moments.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .compat import _pipeline
+from .compat import _defect, forcing
 from .errors import ConfigurationError, DomainError
 from .fieldops import FlowParams, HarmonicScalar, WaveField
 from .spectral import ChebGrid, YProfile, cheb_grid, polymul
@@ -156,16 +156,19 @@ def assemble(spec: AnsatzSpec, coeffs, grid: ChebGrid | None = None) -> WaveFiel
 
 
 def _defect_samples(field: WaveField):
-    """Interior defect samples of harmonics 1 and 2, and the forcing
-    max-abs (over all rows). For a block from assemble the samples come
-    back as (rows, nr)."""
-    f, _, defect = _pipeline(field)
-    parts = [p.values[..., 1:-1] for j in RESIDUAL_HARMONICS for p in defect.get(j)]
-    return np.concatenate(parts, axis=-1), f.max_abs()
+    """The wall values d(+1), d(-1) of the divergence defect in each slot
+    of harmonics 1 and 2, ordered (j, slot, wall): 8 numbers, or (rows, 8)
+    for a block from assemble. Also returns the forcing they come from,
+    whose max-abs only the callers that read it evaluate."""
+    f = forcing(field)
+    d = _defect(f).block.values[:, list(RESIDUAL_HARMONICS)][..., [0, -1]]
+    d = np.moveaxis(d, (1, 0), (-3, -2))
+    return d.reshape(d.shape[:-3] + (-1,)), f
 
 
 def residual(spec: AnsatzSpec, coeffs, grid: ChebGrid | None = None) -> np.ndarray:
-    """Divergence defect samples at interior nodes, harmonics 1 and 2.
+    """Wall values of the divergence defect, harmonics 1 and 2 (see
+    _defect_samples).
 
     The harmonic-0 defect of this ansatz vanishes identically (checked in
     the test suite, not assumed silently), so it is not sampled."""
@@ -289,7 +292,8 @@ def find_compatible(
             used = it + 1
 
         field = assemble(spec, c, grid)
-        r_true, fscale = _defect_samples(field)
+        r_true, f = _defect_samples(field)
+        fscale = f.max_abs()
         if fscale > 0:
             rel = float(np.max(np.abs(r_true)) / fscale)
             gap = float(np.max(np.abs(r - r_true)) / fscale)

@@ -2,9 +2,11 @@
 
 import importlib
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import compatflow as cf
 from compatflow import compat
 from compatflow.cli import _write_csv, main
 from compatflow.fieldfile import field_to_dict, load_field, save_field
+from helpers import random_u2zero
 
 PARAMS = cf.FlowParams(1.0, 1.0, 80.0)
 
@@ -56,6 +59,32 @@ def test_check_reruns_are_byte_identical(example_file, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert main(["check", str(example_file), "-o", str(out)]) == 2
+    for name in ("report.json", "defect_profiles.csv", "defect_grid.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_check_output_does_not_depend_on_blas_threads(tmp_path):
+    """No LAPACK solve is left in check, so a run with 1 and with 2 BLAS
+    threads writes the same bytes. A sampled u2 = 0 field at n = 128 is
+    the most sensitive input: its defect is rounding noise."""
+    grid = cf.cheb_grid(128)
+    field = random_u2zero(PARAMS, grid, np.random.default_rng(31))
+    path = tmp_path / "u2zero.json"
+    save_field(field.strip_poly(), path)
+    src = str(Path(cf.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "compatflow.cli", "check", str(path), "--n", "128",
+             "-o", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append((proc.stdout, out))
+    (stdout1, a), (stdout2, b) = outs
+    assert stdout1 == stdout2
     for name in ("report.json", "defect_profiles.csv", "defect_grid.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
@@ -146,15 +175,15 @@ def test_check_incompatible_exit_code(example_file, tmp_path, capsys):
 
 
 def test_check_refuses_non_finite_pressure(example_file, tmp_path, monkeypatch, capsys):
-    """A NaN pressure gives a NaN tangential residual, which report.json
-    would carry as the invalid JSON token NaN."""
+    """A NaN pressure source gives NaN wall pressures and a NaN tangential
+    residual, which report.json would carry as the invalid JSON token NaN."""
     def nan_pressure(field):
         p = cf.HarmonicScalar.zero(field.params, field.grid)
         p.put(1, cf.YProfile(field.grid, np.full(field.grid.n, np.nan)),
               cf.YProfile.zero(field.grid))
         return p
 
-    monkeypatch.setattr(compat, "solve_pressure", nan_pressure)
+    monkeypatch.setattr(compat, "pressure_rhs", nan_pressure)
     with pytest.raises(cf.NumericalError, match="pressure max-abs nan"):
         cf.check(load_field(example_file))
     out = tmp_path / "out"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import compatflow as cf
+import compatflow.compat as compat
 import compatflow.fieldops as fieldops
 import compatflow.spectral as spectral
 from compatflow.search import AnsatzSpec, assemble
@@ -262,3 +263,54 @@ def test_polynomial_and_sampled_defects_agree_at_high_degree(n):
         exact, sampled = cf.check(u), cf.check(u.strip_poly())
         gap = (exact.defect - sampled.defect).max_abs() / exact.forcing_max_abs
         assert gap <= 1e-11, (degree, gap)
+
+
+FAMILIES = ("ansatz", "admissible", "u2zero")
+
+
+def _draw(family, params, grid, rng):
+    if family == "ansatz":
+        spec = AnsatzSpec(params)
+        return assemble(spec, rng.standard_normal(spec.ncoeffs), grid)
+    if family == "admissible":
+        harmonics = tuple(range(1, int(rng.integers(1, 4)) + 1))
+        return random_admissible(params, grid, rng, harmonics=harmonics)
+    return random_u2zero(params, grid, rng)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("sampled", [False, True], ids=["poly", "sampled"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_wall_moments_match_the_boundary_value_solves(family, sampled, n):
+    """The moment route of check against the solve route, in units of the
+    forcing scale: the defect profile equals div(du/dt), the wall
+    pressures equal those of solve_pressure (j >= 1), and the solved
+    defect is A cosh(j k y) + B sinh(j k y) (A + B y at j = 0) through its
+    own wall values."""
+    rng = np.random.default_rng([n, sampled, FAMILIES.index(family)])
+    grid = cf.cheb_grid(n)
+    params = cf.FlowParams(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5),
+                           np.exp(rng.uniform(np.log(50.0), np.log(5000.0))))
+    u = _draw(family, params, grid, rng)
+    if sampled:
+        u = u.strip_poly()
+    fscale = cf.forcing(u).max_abs()
+    solved = cf.divergence(cf.dudt(u))
+    assert (cf.divergence_defect(u) - solved).max_abs() <= 1e-12 * fscale
+
+    p, want = compat._wall_pressure(u), cf.solve_pressure(u)
+    for wall in ("top", "bottom"):
+        got, ref = getattr(p.block, wall), getattr(want.block, wall)
+        k = min(got.shape[1], ref.shape[1])
+        assert np.max(np.abs(got[:, 1:k] - ref[:, 1:k])) <= 1e-12 * fscale
+        assert not got[:, k:].any() and not ref[:, k:].any()
+
+    vals = solved.block.values
+    top, bottom = vals[..., :1], vals[..., -1:]
+    a = np.sqrt(params.k2) * np.arange(1, vals.shape[1])[:, None]
+    curve = np.concatenate([
+        (top + bottom)[:, :1] / 2 + (top - bottom)[:, :1] / 2 * grid.y,
+        (top + bottom)[:, 1:] / (2 * np.cosh(a)) * np.cosh(a * grid.y)
+        + (top - bottom)[:, 1:] / (2 * np.sinh(a)) * np.sinh(a * grid.y),
+    ], axis=1)
+    assert np.max(np.abs(vals - curve)) <= 1e-12 * fscale

@@ -65,9 +65,13 @@ def test_defect_has_no_mean_mode():
 def test_residual_samples_cover_the_unknowns():
     r = residual(SPEC, REFERENCE_COEFFS)
     assert r.ndim == 1
-    assert r.size == 4 * (G.n - 2)
-    assert r.size >= SPEC.ncoeffs
+    assert r.size == 8
     assert np.all(np.isfinite(r))
+    # the wall values of the Dirichlet-solved defect, ordered (j, slot, wall)
+    u = assemble(SPEC, REFERENCE_COEFFS, G)
+    d = cf.divergence(cf.dudt(u))
+    want = [p.values[wall] for j in (1, 2) for p in d.get(j) for wall in (0, -1)]
+    assert np.max(np.abs(r - want)) <= 1e-12 * cf.forcing(u).max_abs()
 
 
 def test_quadratic_model_reproduces_residual():
@@ -93,20 +97,19 @@ def test_assemble_rejects_bad_block_shape():
                          ids=["random", "u2-cos-zero", "u1-only"])
 def test_block_rows_match_scalar_evaluation(zero_cols):
     """A block through the batched pipeline gives, row by row, the scalar
-    pipeline's samples. Forcing is bit-identical; the Dirichlet solve with
-    several right-hand sides rounds differently from a single one, so the
-    samples are compared in units of the row's forcing scale (the unit of
-    the search's tolerance). With u2 = 0 in every row (u1-only) every
-    defect harmonic is dropped and the samples broadcast to zeros."""
+    pipeline's samples. Forcing is bit-identical; the samples are compared
+    in units of the row's forcing scale (the unit of the search's
+    tolerance). The u1-only case (u2 = 0 in every row) has rounding-level
+    samples."""
     rng = np.random.RandomState(33)
     C = rng.uniform(-1, 1, (7, SPEC.ncoeffs))
     if zero_cols is not None:
         C[:, zero_cols] = 0.0
     R, _ = _defect_samples(assemble(SPEC, C, G))
-    assert R.shape == (7, 4 * (G.n - 2))
+    assert R.shape == (7, 8)
     for row, c in zip(R, C):
-        r, fscale = _defect_samples(assemble(SPEC, c, G))
-        assert np.max(np.abs(row - r)) <= 1e-13 * fscale
+        r, f = _defect_samples(assemble(SPEC, c, G))
+        assert np.max(np.abs(row - r)) <= 1e-13 * f.max_abs()
 
 
 def test_quadratic_model_matches_scalar_polarization():
