@@ -25,7 +25,7 @@ from compatflow.search import (
 
 params = cf.FlowParams(alpha=1.0, beta=1.0, reynolds=80.0)
 spec = AnsatzSpec(params=params)
-print(f"ansatz: {spec.slots} free profile slots, degree {spec.degree}, "
+print(f"ansatz: 4 free profile slots, degree {spec.degree}, "
       f"{spec.ncoeffs} coefficients")
 print()
 

@@ -23,10 +23,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .compat import check, forcing, tangential_residual
+from .compat import _report_head, check, forcing
 from .errors import CompatflowError, ValidationError
 from .fieldfile import load_field, save_field
-from .fieldops import FlowParams, WaveField, admissibility_violations, curl, divergence
+from .fieldops import FlowParams, WaveField, admissibility_violations, curl
 from .modes import mode_to_field, solve_orr_sommerfeld
 from .oracle import (
     example_cc_coeffs,
@@ -36,7 +36,7 @@ from .oracle import (
     example_forcing,
     example_vorticity,
 )
-from .poisson import solve_dudt, solve_pressure
+from .poisson import solve_dudt
 from .search import AnsatzSpec, find_compatible
 from .spectral import cheb_grid
 
@@ -159,14 +159,15 @@ def cmd_example(args) -> int:
     blocks["vorticity"] = rel(curl(fnum), example_vorticity(params, grid))
     f_pipe = forcing(fnum)
     blocks["forcing"] = rel(f_pipe, example_forcing(params, grid))
-    du = solve_dudt(f_pipe)
-    blocks["dudt"] = rel(du, example_dudt(params, grid))
-    defect = divergence(du)
+    blocks["dudt"] = rel(solve_dudt(f_pipe), example_dudt(params, grid))
+    # the defect and the wall residual as check reads them, from wall
+    # moments of the forcing
+    report = check(fnum)
     dref = example_div_coeffs(params, grid)
-    blocks["div_coeffs"] = (defect - dref).max_abs() / dref.max_abs()
+    blocks["div_coeffs"] = (report.defect - dref).max_abs() / dref.max_abs()
 
     cc_ref = example_cc_coeffs(params)
-    tres = tangential_residual(fnum, solve_pressure(fnum))["+1"]
+    tres = report.tangential["+1"]
     cc_scale = max(abs(e[k]) for d in cc_ref.values() for e in d.values() for k in e)
     cc_diff = 0.0
     for t in ("x", "z"):
@@ -181,21 +182,14 @@ def cmd_example(args) -> int:
 
     _write_json(
         {
-            "schema_version": 1,
-            "tool": {"name": "compatflow", "version": __version__},
-            "params": {
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "reynolds": params.reynolds,
-            },
-            "n": args.n,
+            **_report_head(params, args.n),
             "max_relative_discrepancy": {k: float(v) for k, v in blocks.items()},
         },
         os.path.join(args.out_dir, "example_report.json"),
     )
     _velocity_slices_csv(field, os.path.join(args.out_dir, "velocity_slices.csv"))
-    _defect_profiles_csv(defect, os.path.join(args.out_dir, "defect_profiles.csv"))
-    _defect_grid_csv(defect, params, os.path.join(args.out_dir, "defect_grid.csv"))
+    _defect_profiles_csv(report.defect, os.path.join(args.out_dir, "defect_profiles.csv"))
+    _defect_grid_csv(report.defect, params, os.path.join(args.out_dir, "defect_grid.csv"))
     return 0
 
 
@@ -215,14 +209,7 @@ def cmd_oss(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     _write_json(
         {
-            "schema_version": 1,
-            "tool": {"name": "compatflow", "version": __version__},
-            "params": {
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "reynolds": params.reynolds,
-            },
-            "n": args.n,
+            **_report_head(params, args.n),
             "modes": [
                 {
                     "index": i,
@@ -270,14 +257,7 @@ def cmd_find(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     _write_json(
         {
-            "schema_version": 1,
-            "tool": {"name": "compatflow", "version": __version__},
-            "params": {
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "reynolds": params.reynolds,
-            },
-            "n": args.n,
+            **_report_head(params, args.n),
             "degree": args.degree,
             "seed": args.seed,
             "success": bool(result.success),
@@ -307,7 +287,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_params):
         p.add_argument("-o", "--out-dir", default=".", help="output directory")
-        p.add_argument("--n", type=int, default=64, help="collocation nodes")
+        # a field file carries its own node count, and moving a sampled
+        # field onto fewer nodes drops content
+        p.add_argument("--n", type=int, default=64 if with_params else None,
+                       help="collocation nodes (default 64, or the field file's)")
         if with_params:
             p.add_argument("--alpha", type=float, default=1.0)
             p.add_argument("--beta", type=float, default=1.0)

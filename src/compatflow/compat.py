@@ -44,8 +44,8 @@ import numpy as np
 
 from . import __version__ as _version
 from .errors import NumericalError
+from .fieldfile import _head
 from .fieldops import (
-    DIVFREE_ERROR_RTOL,
     DIVFREE_WARN_RTOL,
     FlowParams,
     HarmonicScalar,
@@ -186,6 +186,12 @@ def _tangential_max(tres: dict) -> float:
     return float(np.max(vals, initial=0.0))
 
 
+def _report_head(params: FlowParams, n: int) -> dict:
+    """The entries every report of the command line tool starts with: the
+    field file head (see fieldfile) and the tool that wrote it."""
+    return {**_head(params, n), "tool": {"name": "compatflow", "version": _version}}
+
+
 @dataclass
 class CompatReport:
     """Everything measured by check(), JSON-serializable via to_dict()."""
@@ -224,14 +230,7 @@ class CompatReport:
             for wall, walls in self.tangential.items()
         }
         return {
-            "schema_version": 1,
-            "tool": {"name": "compatflow", "version": _version},
-            "params": {
-                "alpha": float(self.params.alpha),
-                "beta": float(self.params.beta),
-                "reynolds": float(self.params.reynolds),
-            },
-            "n": int(self.n),
+            **_report_head(self.params, self.n),
             "tolerance_rel": float(self.tol_rel),
             "velocity_max_abs": float(self.velocity_max_abs),
             "forcing_max_abs": float(self.forcing_max_abs),
@@ -251,18 +250,14 @@ class CompatReport:
         }
 
 
-def check(
-    field: WaveField,
-    tol_rel: float = DEFAULT_TOL_REL,
-    div_rtol: float = DIVFREE_ERROR_RTOL,
-) -> CompatReport:
+def check(field: WaveField, tol_rel: float = DEFAULT_TOL_REL) -> CompatReport:
     """Run the full diagnostic on an admissible field.
 
     Raises ValidationError when the field violates no-slip or is not
-    divergence-free to `div_rtol` (relative). The verdict compares the
-    divergence defect of du/dt against tol_rel times the forcing scale.
+    divergence-free to DIVFREE_ERROR_RTOL (relative). The verdict compares
+    the divergence defect of du/dt against tol_rel times the forcing scale.
     """
-    require_admissible(field, div_rtol)
+    require_admissible(field)
 
     # overflow in the products surfaces as inf/NaN in the two scales and is
     # reported once, below, instead of as one warning per operation; a

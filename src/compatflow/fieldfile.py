@@ -28,12 +28,13 @@ import json
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .fieldops import FlowParams, HarmonicScalar, WaveField
+from .errors import ConfigurationError
+from .fieldops import FlowParams, HarmonicScalar, WaveField, _continuity_u3
 from .spectral import ChebGrid, YProfile, cheb_grid
 
 SCHEMA_VERSION = 1
 _COMPONENTS = ("u1", "u2", "u3")
+_PARAMS = ("alpha", "beta", "reynolds")
 
 
 def _bad(where: str, why: str) -> ConfigurationError:
@@ -111,7 +112,7 @@ def load_field(path, n: int | None = None) -> WaveField:
     if not isinstance(pobj, dict):
         raise _bad("params", "expected an object with alpha, beta, reynolds")
     try:
-        vals = [pobj[key] for key in ("alpha", "beta", "reynolds")]
+        vals = [pobj[key] for key in _PARAMS]
     except KeyError as exc:
         raise _bad("params", f"missing entry {exc.args[0]!r}") from exc
     if not all(map(_is_number, vals)):
@@ -160,7 +161,7 @@ def load_field(path, n: int | None = None) -> WaveField:
             )
         u3obj = hobj.get("u3")
         if u3obj is None or u3obj == "continuity":
-            profs["u3"] = _continuity_u3(params, j, profs["u1"], profs["u2"], grid)
+            profs["u3"] = _continuity_u3(params, j, profs["u1"], profs["u2"])
         elif isinstance(u3obj, dict):
             _check_trig_keys(u3obj, f"{where}.u3")
             profs["u3"] = (
@@ -176,20 +177,6 @@ def load_field(path, n: int | None = None) -> WaveField:
     return WaveField(*comps, params, grid)
 
 
-def _continuity_u3(params, j, u1_pair, u2_pair, grid):
-    """Spanwise profiles that close the divergence at harmonic j."""
-    a1, b1 = u1_pair
-    a2, b2 = u2_pair
-    if j == 0:
-        return (YProfile.zero(grid), YProfile.zero(grid))
-    if params.beta == 0:
-        raise DomainError("u3 continuity recovery divides by beta")
-    al, be = params.alpha, params.beta
-    b3 = (-1.0 / (j * be)) * (j * al * b1 + a2.deriv())
-    a3 = (1.0 / (j * be)) * (b2.deriv() - j * al * a1)
-    return (a3, b3)
-
-
 def _dump_profile(prof: YProfile) -> dict:
     if prof.poly is not None:
         # without the zero padding up to the longest profile of its field
@@ -197,6 +184,16 @@ def _dump_profile(prof: YProfile) -> dict:
     if prof.is_zero():
         return {"poly": [0.0]}
     return {"values": [float(v) for v in prof.values]}
+
+
+def _head(params: FlowParams, n: int) -> dict:
+    """The entries every JSON document of the package starts with: schema
+    version, flow parameters and node count."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "params": {key: float(getattr(params, key)) for key in _PARAMS},
+        "n": int(n),
+    }
 
 
 def field_to_dict(field: WaveField) -> dict:
@@ -215,16 +212,7 @@ def field_to_dict(field: WaveField) -> dict:
             if cobj or name == "u3":
                 entry[name] = cobj
         harmonics.append(entry)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "params": {
-            "alpha": float(field.params.alpha),
-            "beta": float(field.params.beta),
-            "reynolds": float(field.params.reynolds),
-        },
-        "n": field.grid.n,
-        "harmonics": harmonics,
-    }
+    return {**_head(field.params, field.grid.n), "harmonics": harmonics}
 
 
 def save_field(field: WaveField, path):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, DomainError, ValidationError
 from .spectral import ChebGrid, YProfile, polyadd
 
 # admissibility thresholds, relative to the field's own max-abs scale
@@ -387,12 +387,29 @@ def gradient(f: HarmonicScalar):
     return (f.dx(), f.dy(), f.dz())
 
 
+def _continuity_u3(params: FlowParams, j: int, u1_pair, u2_pair):
+    """Spanwise (cos, sin) profiles a3, b3 that close the divergence at
+    harmonic j >= 1 of the u1 and u2 pairs: j alpha b1 + a2' + j beta b3 = 0
+    and -j alpha a1 + b2' - j beta a3 = 0. Zero at j = 0."""
+    a1, b1 = u1_pair
+    a2, b2 = u2_pair
+    if j == 0:
+        z = YProfile.zero(a1.grid)
+        return z, z
+    if params.beta == 0:
+        raise DomainError("u3 continuity recovery divides by beta")
+    al, be = params.alpha, params.beta
+    b3 = (-1.0 / (j * be)) * (j * al * b1 + a2.deriv())
+    a3 = (1.0 / (j * be)) * (b2.deriv() - j * al * a1)
+    return a3, b3
+
+
 def eval_field(field: WaveField, x, y, z):
     """Velocity components at physical points. y must lie in [-1, 1]."""
     return tuple(c.evaluate(x, y, z) for c in field.components)
 
 
-def admissibility_violations(field: WaveField, div_rtol: float = DIVFREE_ERROR_RTOL):
+def admissibility_violations(field: WaveField):
     """No-slip and divergence checks; returns a list of violation strings
     (empty when the field is admissible). Periodicity in x and z holds by
     construction of the harmonic representation."""
@@ -410,7 +427,7 @@ def admissibility_violations(field: WaveField, div_rtol: float = DIVFREE_ERROR_R
                 )
     div = divergence(field)
     dmax = div.max_abs()
-    if dmax > div_rtol * scale:
+    if dmax > DIVFREE_ERROR_RTOL * scale:
         mags = np.max(np.abs(div.block.values), axis=-1)
         t, j = np.unravel_index(np.argmax(mags), mags.shape)
         out.append(
@@ -426,7 +443,7 @@ def admissibility_violations(field: WaveField, div_rtol: float = DIVFREE_ERROR_R
     return out
 
 
-def require_admissible(field: WaveField, div_rtol: float = DIVFREE_ERROR_RTOL):
-    violations = admissibility_violations(field, div_rtol)
+def require_admissible(field: WaveField):
+    violations = admissibility_violations(field)
     if violations:
         raise ValidationError(violations)

@@ -58,14 +58,16 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .compat import _defect, forcing
-from .errors import ConfigurationError, DomainError
-from .fieldops import FlowParams, HarmonicScalar, WaveField
+from .errors import ConfigurationError
+from .fieldops import FlowParams, HarmonicScalar, WaveField, _continuity_u3
 from .spectral import ChebGrid, YProfile, cheb_grid, polymul
 
 RESIDUAL_HARMONICS = (1, 2)
 NONTRIVIAL_RTOL = 1e-3
 # probe rows per pipeline evaluation while building the quadratic model
 PROBE_BLOCK = 80
+# damped Newton steps per start
+MAX_ITER = 50
 
 # a degree-4 coefficient set for (1, 1, 80) that sits near (not on) the
 # zero set of the defect; useful as a warm start and as a regression anchor
@@ -85,34 +87,20 @@ REFERENCE_COEFFS = np.array(
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Which profile slots are free and at what polynomial degree.
-
-    free_u1 / free_u2 flag the (cos, sin) slots of the respective
-    component; coefficients are ordered u1-cos, u1-sin, u2-cos, u2-sin
-    (free slots only), ascending powers within each slot.
-    """
+    """The ansatz at a polynomial degree: the four profile slots of u1 and
+    u2 are free, coefficients ordered u1-cos, u1-sin, u2-cos, u2-sin,
+    ascending powers within each slot."""
 
     params: FlowParams
     degree: int = 4
-    free_u1: tuple[bool, bool] = (True, True)
-    free_u2: tuple[bool, bool] = (True, True)
 
     def __post_init__(self):
         if self.degree < 0:
             raise ConfigurationError(f"degree must be >= 0, got {self.degree}")
-        if not any(self.free_u2):
-            raise ConfigurationError(
-                "at least one u2 slot must be free; without wall-normal "
-                "content the ansatz is trivially defect-free"
-            )
-
-    @property
-    def slots(self) -> int:
-        return sum(self.free_u1) + sum(self.free_u2)
 
     @property
     def ncoeffs(self) -> int:
-        return (self.degree + 1) * self.slots
+        return 4 * (self.degree + 1)
 
 
 def assemble(spec: AnsatzSpec, coeffs, grid: ChebGrid | None = None) -> WaveField:
@@ -122,36 +110,21 @@ def assemble(spec: AnsatzSpec, coeffs, grid: ChebGrid | None = None) -> WaveFiel
     whose profiles carry the leading row axis.
     """
     params = spec.params
-    if params.beta == 0:
-        raise DomainError("continuity recovery of u3 divides by beta")
     grid = grid or cheb_grid(64)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != spec.ncoeffs:
         raise ConfigurationError(
             f"expected {spec.ncoeffs} coefficients "
-            f"({spec.slots} slots x degree {spec.degree}), got shape {coeffs.shape}"
+            f"(4 slots x degree {spec.degree}), got shape {coeffs.shape}"
         )
-    chunks = iter(np.split(coeffs, spec.slots, axis=-1))
-
-    def slot(active, weight):
-        if not active:
-            return YProfile.zero(grid)
-        return YProfile.from_poly(grid, polymul(next(chunks), weight))
-
     wall1 = np.array([-1.0, 0.0, 1.0])  # (y^2 - 1)
     wall2 = polymul(wall1, wall1)
-    a1 = slot(spec.free_u1[0], wall1)
-    b1 = slot(spec.free_u1[1], wall1)
-    a2 = slot(spec.free_u2[0], wall2)
-    b2 = slot(spec.free_u2[1], wall2)
-
-    al, be = params.alpha, params.beta
-    b3 = (-1.0 / be) * (al * b1 + a2.deriv())
-    a3 = (1.0 / be) * (b2.deriv() - al * a1)
-
-    u1 = HarmonicScalar(params, grid, {1: (a1, b1)})
-    u2 = HarmonicScalar(params, grid, {1: (a2, b2)})
-    u3 = HarmonicScalar(params, grid, {1: (a3, b3)})
+    a1, b1, a2, b2 = (
+        YProfile.from_poly(grid, polymul(c, w))
+        for c, w in zip(np.split(coeffs, 4, axis=-1), (wall1, wall1, wall2, wall2))
+    )
+    pairs = ((a1, b1), (a2, b2), _continuity_u3(params, 1, (a1, b1), (a2, b2)))
+    u1, u2, u3 = (HarmonicScalar(params, grid, {1: pair}) for pair in pairs)
     return WaveField(u1, u2, u3, params, grid)
 
 
@@ -206,7 +179,7 @@ class _QuadraticModel:
 
     def __init__(self, spec: AnsatzSpec, grid: ChebGrid):
         m = spec.ncoeffs
-        live = np.arange((spec.degree + 1) * sum(spec.free_u1), m)
+        live = np.arange(2 * (spec.degree + 1), m)
         k = live.size
         eye = np.eye(m)[live]
         q, p = np.triu_indices(k, k=1)
@@ -238,7 +211,6 @@ def find_compatible(
     x0=None,
     grid: ChebGrid | None = None,
     tol: float = 1e-10,
-    max_iter: int = 50,
     max_restarts: int = 5,
 ) -> SearchResult:
     """Damped Newton search for a nontrivial root of the defect map.
@@ -273,7 +245,7 @@ def find_compatible(
         trace = []
         r = model(c)
         used = 0
-        for it in range(max_iter):
+        for it in range(MAX_ITER):
             rnorm = float(np.max(np.abs(r)))
             trace.append(rnorm)
             if rnorm < 1e-14 * max(1.0, float(np.max(np.abs(model.L)))):

@@ -205,7 +205,7 @@ def test_criterion_7_reference_root():
     spec = AnsatzSpec(params=PARAMS)
     field = assemble(spec, REFERENCE_COEFFS)
     rep = cf.check(field)
-    res = find_compatible(spec, x0=REFERENCE_COEFFS, tol=1e-10, max_iter=50)
+    res = find_compatible(spec, x0=REFERENCE_COEFFS, tol=1e-10)
     ok = (rep.defect_rel_l2 <= 1e-2 and res.success
           and res.residual_rel <= 1e-10 and res.iterations <= 50)
     _line(7, ok, f"rounded-coefficient defect l2 rel {rep.defect_rel_l2:.3e} "

@@ -206,6 +206,20 @@ def test_check_grid_override(example_file, tmp_path):
     assert rep["n"] == 48
 
 
+def test_check_defaults_to_the_file_grid(tmp_path):
+    """Without --n, check reads a file on the nodes it gives: a sampled
+    128-node field is not moved onto 64 nodes, and the run writes the
+    bytes of a run with --n 128."""
+    path = tmp_path / "field128.json"
+    save_field(cf.example_field(PARAMS, cf.cheb_grid(128)).strip_poly(), path)
+    a, b = tmp_path / "default", tmp_path / "n128"
+    assert main(["check", str(path), "-o", str(a)]) == 2
+    assert main(["check", str(path), "--n", "128", "-o", str(b)]) == 2
+    assert json.loads((a / "report.json").read_text())["n"] == 128
+    for name in ("report.json", "defect_profiles.csv", "defect_grid.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_check_missing_file(tmp_path, capsys):
     rc = main(["check", str(tmp_path / "nope.json"), "-o", str(tmp_path)])
     assert rc == 1
