@@ -43,7 +43,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import __version__ as _version
-from .errors import NumericalError
+from .errors import ConfigurationError, NumericalError
 from .fieldfile import _head
 from .fieldops import (
     DIVFREE_WARN_RTOL,
@@ -257,6 +257,8 @@ def check(field: WaveField, tol_rel: float = DEFAULT_TOL_REL) -> CompatReport:
     divergence-free to DIVFREE_ERROR_RTOL (relative). The verdict compares
     the divergence defect of du/dt against tol_rel times the forcing scale.
     """
+    if not 0.0 <= tol_rel < np.inf:
+        raise ConfigurationError(f"tolerance must be finite and >= 0, got {tol_rel}")
     require_admissible(field)
 
     # overflow in the products surfaces as inf/NaN in the two scales and is

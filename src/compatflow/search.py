@@ -223,6 +223,8 @@ def find_compatible(
     between the model and the pipeline at the returned point, in units of
     the forcing max-abs.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ConfigurationError(f"tolerance must be finite and >= 0, got {tol}")
     m = spec.ncoeffs
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 
 import compatflow as cf
 from compatflow import compat
-from compatflow.cli import _write_csv, main
+from compatflow.cli import _write_csv, _write_json, main
 from compatflow.fieldfile import field_to_dict, load_field, save_field
 from helpers import random_u2zero
 
@@ -196,6 +197,62 @@ def test_check_tolerance_flag(example_file, tmp_path):
     rc = main(["check", str(example_file), "--tol", "1e-1",
                "-o", str(tmp_path / "chk")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_rejects_bad_tolerance(example_file, tmp_path, capsys, tol):
+    """A NaN tolerance would reach report.json as the invalid token NaN,
+    and a negative one would fail every field without a word."""
+    out = tmp_path / "chk"
+    rc = main(["check", str(example_file), "--tol", tol, "-o", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: tolerance must be finite and >= 0")
+    assert not out.exists()
+
+
+def test_find_rejects_non_finite_tolerance(tmp_path, capsys):
+    rc = main(["find", "--tol", "nan", "-o", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: tolerance must be finite")
+    assert not any(tmp_path.iterdir())
+
+
+def test_oss_rejects_non_finite_amplitude(tmp_path, capsys):
+    rc = main(["oss", "--amplitude", "nan", "-o", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: amplitude must be finite")
+    assert not (tmp_path / "mode_field.json").exists()
+
+
+def test_write_json_refuses_nan(tmp_path):
+    """NaN is not a JSON token; the writer raises before the file exists."""
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        _write_json({"tolerance_rel": float("nan")}, str(path))
+    assert not path.exists()
+
+
+def test_cli_paths_import_no_scipy(tmp_path):
+    """Every subcommand runs on numpy alone; scipy is a test dependency."""
+    script = textwrap.dedent("""
+        import json, os, sys
+        from compatflow.cli import main
+        out = sys.argv[1]
+        field = os.path.join(out, "example_field.json")
+        rcs = [main(["example", "-o", out]), main(["check", field, "-o", out]),
+               main(["validate", field]), main(["find", "-o", out]),
+               main(["oss", "-o", out])]
+        mods = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        print(json.dumps([rcs, mods]))
+    """)
+    src = str(Path(cf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rcs, mods = json.loads(proc.stdout.splitlines()[-1])
+    assert rcs == [0, 2, 0, 0, 0]
+    assert mods == []
 
 
 def test_check_grid_override(example_file, tmp_path):

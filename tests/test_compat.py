@@ -48,6 +48,14 @@ def test_tolerance_flag_loosens_verdict():
     assert cf.check(field, tol_rel=1e-1).verdict == "compatible"
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_check_rejects_bad_tolerance(tol):
+    """NaN compares false against everything and a negative tolerance
+    fails every field; neither is a verdict."""
+    with pytest.raises(cf.ConfigurationError, match="tolerance"):
+        cf.check(cf.example_field(PARAMS, G), tol_rel=tol)
+
+
 def test_defect_scales_as_linear_plus_quadratic():
     """The defect of s*u is s*(viscous part) + s^2*(advective part), so
     three scalings determine each other: d(3) = 3 (d(2) - d(1))."""

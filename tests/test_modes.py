@@ -104,6 +104,29 @@ def test_reduced_pencil_matches_bordered_pencil(params, n):
     assert np.max(np.min(np.abs(kept[:, None] - ref[None, :]), axis=1)) < 1e-7
 
 
+@pytest.mark.parametrize("n", [24, 40, 64, 96])
+def test_null_space_matches_scipy(n):
+    """The clamped basis is numpy's SVD of the two wall-slope rows; scipy's
+    null_space is the independent reference."""
+    g = cf.cheb_grid(n)
+    Z = modes_mod._os_pencil(PARAMS, g)[2]
+    ref = sla.null_space(g.D[[0, -1], 1:-1])
+    assert Z.shape == ref.shape
+    assert np.max(np.abs(Z - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("params, n", [(PARAMS, 64), (ORSZAG, 96)])
+def test_eigenvalues_match_scipy(params, n):
+    """Every kept eigenvalue is one that scipy's eig finds for the same
+    standard matrix A_r B_r^-1."""
+    A, B, _ = modes_mod._os_pencil(params, cf.cheb_grid(n))
+    ref = sla.eig(np.linalg.solve(B.T, A.T).T, right=False)
+    kept = np.array([m.eigenvalue for m in cf.solve_orr_sommerfeld(params, n)])
+    assert kept.size > 0
+    gap = np.min(np.abs(kept[:, None] - ref[None, :]), axis=1)
+    assert np.all(gap <= 1e-12 * np.abs(kept))
+
+
 def test_failed_eigensolve_names_node_count(monkeypatch):
     def fail(*args, **kwargs):
         raise sla.LinAlgError("did not converge")
@@ -162,6 +185,11 @@ class TestModeToField:
                             params=m.params, grid=m.grid)
         with pytest.raises(cf.ConfigurationError, match="finite"):
             cf.mode_to_field(bad, 0.3)
+
+    @pytest.mark.parametrize("amp", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_amplitude(self, modes, amp):
+        with pytest.raises(cf.ConfigurationError, match="amplitude must be finite"):
+            cf.mode_to_field(modes[0], amp)
 
     def test_without_base(self, modes):
         u = cf.mode_to_field(modes[1], 0.5, include_base=False)

@@ -207,6 +207,14 @@ def test_search_rejects_bad_x0(x0, capfd):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_search_rejects_bad_tolerance(tol):
+    """No start can meet a NaN tolerance: the search would run every start
+    and call a rounding-level root "stalled"."""
+    with pytest.raises(cf.ConfigurationError, match="tolerance"):
+        find_compatible(SPEC, seed=0, tol=tol)
+
+
 def test_search_reports_model_gap():
     """The model is exact, so at the returned point it agrees with the
     pipeline to rounding."""
