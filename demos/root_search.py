@@ -5,9 +5,12 @@ quadratic function of its polynomial coefficients. The search exploits
 that: it reconstructs the quadratic map from 66 polarization probes
 over the wall-normal coefficients (the streamwise ones cannot reach the
 defect of a single-harmonic field), which the pipeline evaluates
-together in one row block, then runs damped Newton iterations on the
-model and verifies every candidate root against the true operators. Run
-with:
+together in one row block. The map splits by harmonic: the harmonic-1
+defect is linear and the harmonic-2 defect a homogeneous quadratic, so
+every multiple of a root is a root. The search takes the null space of
+the linear part and runs Gauss-Newton on the quadratics with the
+wall-normal coefficients on the unit sphere, then verifies every
+candidate root against the true operators. Run with:
 
     python3 demos/root_search.py
 """
@@ -57,6 +60,10 @@ print()
 res = find_compatible(spec, seed=0)
 verdict = cf.check(res.field, tol_rel=1e-8).verdict
 print(f"the seed-0 root passes the full check at 1e-8: {verdict}")
+for scale in (1e-3, 10.0):
+    rep = cf.check(assemble(spec, scale * res.coeffs))
+    print(f"  scaled by {scale:g}: {rep.verdict}, "
+          f"defect / forcing {rep.defect_rel_max:.1e}")
 
 out = "found_field.json"
 save_field(res.field, out)

@@ -203,6 +203,16 @@ def cmd_oss(args) -> int:
         f"kept {len(modes)} of {total} eigenvalues; "
         f"{total - len(modes)} moved by more than 1e-4 at n + 8"
     )
+    if not 0 <= args.mode_index < len(modes):
+        print(
+            f"error: mode index {args.mode_index} out of range "
+            f"({len(modes)} resolved modes)",
+            file=sys.stderr,
+        )
+        return 1
+    field = mode_to_field(
+        modes[args.mode_index], args.amplitude, include_base=not args.no_base
+    )
     os.makedirs(args.out_dir, exist_ok=True)
     _write_json(
         {
@@ -218,16 +228,6 @@ def cmd_oss(args) -> int:
         },
         os.path.join(args.out_dir, "oss_modes.json"),
     )
-    if not 0 <= args.mode_index < len(modes):
-        print(
-            f"error: mode index {args.mode_index} out of range "
-            f"({len(modes)} resolved modes)",
-            file=sys.stderr,
-        )
-        return 1
-    field = mode_to_field(
-        modes[args.mode_index], args.amplitude, include_base=not args.no_base
-    )
     save_field(field, os.path.join(args.out_dir, "mode_field.json"))
     print(
         f"wrote mode_field.json (mode {args.mode_index}, "
@@ -240,11 +240,7 @@ def cmd_find(args) -> int:
     params = _params_from(args)
     spec = AnsatzSpec(params=params, degree=args.degree)
     result = find_compatible(
-        spec,
-        seed=args.seed,
-        grid=cheb_grid(args.n),
-        tol=args.tol,
-        max_restarts=args.max_restarts,
+        spec, seed=args.seed, grid=cheb_grid(args.n), tol=args.tol
     )
     print(
         f"{result.message}: residual {result.residual_rel:.3e} relative after "
@@ -319,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, with_params=True)
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-restarts", type=int, default=5)
     p.add_argument("--tol", type=float, default=1e-10, help="relative success tolerance")
     p.set_defaults(fn=cmd_find)
 

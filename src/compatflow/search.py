@@ -15,11 +15,14 @@ The defect is a quadratic polynomial map of the coefficient vector: the
 field is linear in the coefficients and the pipeline applies exactly one
 bilinear stage (the advective products). find_compatible therefore probes
 the exact quadratic model once per ansatz (second differences along basis
-directions and pairs) and runs a damped Newton iteration on that model,
-which costs nothing in the pipeline per iteration. The converged point is
-then re-verified against the real pipeline. A finite difference Jacobian
-fallback was tried first and stalls around 1e-7 relative, well short of the
-target, which motivates the probed model.
+directions and pairs), solves it and re-verifies the root in the pipeline.
+
+The model splits by harmonic. A product of two harmonic-1 terms lands in
+harmonics 0 and 2 only, so harmonic 1 holds only the viscous term, which
+is linear, and harmonic 2 only products, which are quadratic: a root
+solves L1 c = 0 (4 rows) and c^T B2 c = 0 (4 homogeneous quadratics), and
+every multiple of a root is a root. The search runs Gauss-Newton on the
+null space N of L1, z^T (N^T B2 N) z = 0 with |z| = 1 to keep z = 0 out.
 
 Only the u2 coefficients are probed. The ansatz is one harmonic, so every
 field depends on x and z only through xi = alpha x + beta z. A change d in
@@ -66,8 +69,9 @@ RESIDUAL_HARMONICS = (1, 2)
 NONTRIVIAL_RTOL = 1e-3
 # probe rows per pipeline evaluation while building the quadratic model
 PROBE_BLOCK = 80
-# damped Newton steps per start
+# Gauss-Newton steps per start, and fresh draws after the first start
 MAX_ITER = 50
+MAX_RESTARTS = 5
 
 # a degree-4 coefficient set for (1, 1, 80) that sits near (not on) the
 # zero set of the defect; useful as a warm start and as a regression anchor
@@ -201,8 +205,21 @@ class _QuadraticModel:
     def __call__(self, c):
         return self.r0 + self.L @ c + np.einsum("ipq,p,q->i", self.B, c, c)
 
-    def jac(self, c):
-        return self.L + 2.0 * np.einsum("ipq,q->ip", self.B, c)
+
+def _sphere_root(Q, z):
+    """Gauss-Newton for z^T Q[r] z = 0 (every r) and |z| = 1 from a unit z:
+    the end point, the steps taken and max-abs z^T Q z at each iterate."""
+    stop = 1e-14 * max(1.0, float(np.max(np.abs(Q))))
+    trace = []
+    for it in range(MAX_ITER):
+        Qz = Q @ z
+        F = np.append(Qz @ z, 0.5 * (z @ z - 1.0))
+        trace.append(float(np.max(np.abs(F[:-1]))))
+        if not np.max(np.abs(F)) > stop:
+            return z, it, trace
+        step, *_ = np.linalg.lstsq(np.vstack([2.0 * Qz, z]), -F, rcond=None)
+        z = z + step
+    return z, MAX_ITER, trace
 
 
 def find_compatible(
@@ -211,16 +228,17 @@ def find_compatible(
     x0=None,
     grid: ChebGrid | None = None,
     tol: float = 1e-10,
-    max_restarts: int = 5,
 ) -> SearchResult:
-    """Damped Newton search for a nontrivial root of the defect map.
+    """Gauss-Newton search for a nontrivial root of the defect map.
 
     Starts from x0 when given, otherwise from a seeded random draw; retries
-    with fresh draws on stalls or trivial (vanishing-u2) limits. Success
-    means the max-abs defect is at most tol times the forcing max-abs and
-    u2 carries at least 1e-3 of the field's volume-mean norm. Failure returns the
-    best iterate rather than raising. model_gap_rel is the max-abs distance
-    between the model and the pipeline at the returned point, in units of
+    with fresh draws on stalls or trivial (vanishing-u2) limits, up to
+    MAX_RESTARTS times. A start's u2 coefficients are projected onto the
+    null space of L1 and scaled to unit norm; its u1 coefficients are kept.
+    Success means the max-abs defect is at most tol times the forcing
+    max-abs and u2 carries at least 1e-3 of the field's volume-mean norm.
+    Failure returns the best iterate rather than raising. model_gap_rel is
+    the max-abs model-pipeline distance at the returned point, in units of
     the forcing max-abs.
     """
     if not 0.0 <= tol < np.inf:
@@ -237,40 +255,26 @@ def find_compatible(
     grid = grid or cheb_grid(64)
     rng = np.random.default_rng(seed)
     model = _QuadraticModel(spec, grid)
+    # rows 0-3 are harmonic 1 (linear), rows 4-7 harmonic 2 (quadratic)
+    u2 = slice(2 * (spec.degree + 1), m)
+    L1 = model.L[:4, u2]
+    N = np.linalg.svd(L1)[2][np.linalg.matrix_rank(L1):].T
+    Q = N.T @ model.B[4:, u2, u2] @ N
 
     best = None
-    for restart in range(max_restarts + 1):
-        if restart == 0 and x0 is not None:
-            c = x0.copy()
-        else:
-            c = rng.standard_normal(m)
-        trace = []
-        r = model(c)
-        used = 0
-        for it in range(MAX_ITER):
-            rnorm = float(np.max(np.abs(r)))
-            trace.append(rnorm)
-            if rnorm < 1e-14 * max(1.0, float(np.max(np.abs(model.L)))):
-                break
-            step, *_ = np.linalg.lstsq(model.jac(c), -r, rcond=None)
-            t = 1.0
-            while t > 1e-6:
-                r_new = model(c + t * step)
-                if np.max(np.abs(r_new)) < rnorm:
-                    break
-                t *= 0.5
-            if t <= 1e-6:
-                break  # stalled; try another start
-            c = c + t * step
-            r = r_new
-            used = it + 1
-
+    for restart in range(MAX_RESTARTS + 1):
+        c = x0.copy() if restart == 0 and x0 is not None else rng.standard_normal(m)
+        z = N.T @ c[u2]
+        norm = np.linalg.norm(z)
+        # a start with no u2 in the null space has nowhere to go
+        z, used, trace = _sphere_root(Q, z / norm) if norm > 0 else (z, 0, [])
+        c[u2] = N @ z
         field = assemble(spec, c, grid)
         r_true, f = _defect_samples(field)
         fscale = f.max_abs()
         if fscale > 0:
             rel = float(np.max(np.abs(r_true)) / fscale)
-            gap = float(np.max(np.abs(r - r_true)) / fscale)
+            gap = float(np.max(np.abs(model(c) - r_true)) / fscale)
         else:
             rel = gap = np.inf
         trace.append(float(np.max(np.abs(r_true))))
@@ -295,5 +299,5 @@ def find_compatible(
             candidate.message = "converged to a trivial (u2 ~ 0) field"
         if best is None or candidate.residual_rel < best.residual_rel:
             best = candidate
-    best.message += f"; no acceptable root in {max_restarts + 1} starts"
+    best.message += f"; no acceptable root in {MAX_RESTARTS + 1} starts"
     return best

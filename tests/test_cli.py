@@ -64,6 +64,20 @@ def test_check_reruns_are_byte_identical(example_file, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("argv", [["find", "--seed", "3"], ["oss"]], ids=["find", "oss"])
+def test_reruns_are_byte_identical(tmp_path, capsys, argv):
+    a, b = tmp_path / "a", tmp_path / "b"
+    stdout = []
+    for out in (a, b):
+        assert main(argv + ["-o", str(out)]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
+    names = sorted(p.name for p in a.iterdir())
+    assert names and names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_check_output_does_not_depend_on_blas_threads(tmp_path):
     """No LAPACK solve is left in check, so a run with 1 and with 2 BLAS
     threads writes the same bytes. A sampled u2 = 0 field at n = 128 is
@@ -221,7 +235,7 @@ def test_oss_rejects_non_finite_amplitude(tmp_path, capsys):
     rc = main(["oss", "--amplitude", "nan", "-o", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: amplitude must be finite")
-    assert not (tmp_path / "mode_field.json").exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_write_json_refuses_nan(tmp_path):
@@ -412,7 +426,7 @@ def test_oss_mode_index_out_of_range(tmp_path, capsys):
                    "--mode-index", index, "-o", str(tmp_path)])
         assert rc == 1
         assert "index" in capsys.readouterr().err
-        assert not (tmp_path / "mode_field.json").exists()
+        assert not any(tmp_path.iterdir())
 
 
 def test_find_writes_root_field(tmp_path, capsys):

@@ -224,13 +224,36 @@ def test_search_reports_model_gap():
 
 
 def test_search_rejects_root_with_small_u2_norm_share():
-    """The first start of this seed converges to a root whose u2 carries
-    6e-4 of the volume-mean norm but 1.2e-3 of the max-abs; acceptance
-    criterion 8 counts it as trivial, so the search restarts."""
-    res = find_compatible(SPEC, seed=223013981)
+    """The start's u2 is scaled to unit norm on the null space, so a start
+    with u1 1e5 times larger converges to a root whose u2 carries about
+    1e-5 of the volume-mean norm; acceptance criterion 8 counts it as
+    trivial, so the search restarts."""
+    x0 = REFERENCE_COEFFS.copy()
+    x0[:10] *= 1e5
+    res = find_compatible(SPEC, x0=x0)
     assert res.success
     assert res.restarts == 1
     assert res.field.u2.l2() >= 1e-3 * res.field.l2()
+
+
+def test_search_restarts_from_a_start_without_u2():
+    """A start whose u2 is zero projects to z = 0, which cannot be scaled
+    to the unit sphere; the search takes a fresh draw (pytest turns a
+    RuntimeWarning from 0/0 into an error)."""
+    x0 = REFERENCE_COEFFS.copy()
+    x0[10:] = 0.0
+    res = find_compatible(SPEC, x0=x0)
+    assert res.success
+    assert res.restarts == 1
+
+
+def test_search_without_null_space_fails_cleanly():
+    """At degree 1, L1 (4 x 4) has full rank: no u2 direction leaves the
+    harmonic-1 defect at zero, so every start is the trivial u2 = 0 field."""
+    res = find_compatible(AnsatzSpec(params=PARAMS, degree=1), seed=0)
+    assert not res.success
+    assert "no acceptable root in 6 starts" in res.message
+    assert not res.coeffs[4:].any()
 
 
 def test_search_seeded_at_reference_root():
@@ -240,6 +263,45 @@ def test_search_seeded_at_reference_root():
     assert res.residual_rel < 1e-10
     # the root is a genuine field, not a rescaled zero
     assert res.field.u2.l2() > 1e-3 * res.field.l2()
+    # only u2 moves: the u1 coefficients cannot reach the defect
+    assert np.array_equal(res.coeffs[:10], REFERENCE_COEFFS[:10])
+
+
+_SPLIT_RNG = np.random.RandomState(36)
+SPLIT_PARAMS = [PARAMS] + [
+    cf.FlowParams(_SPLIT_RNG.uniform(0.5, 1.5), _SPLIT_RNG.uniform(0.5, 1.5),
+                  10 ** _SPLIT_RNG.uniform(1.5, 3.5))
+    for _ in range(2)
+]
+
+
+@pytest.mark.parametrize("params", SPLIT_PARAMS, ids=["default", "random-1", "random-2"])
+@pytest.mark.parametrize("degree", [4, 8, 12])
+def test_model_splits_into_linear_and_quadratic_harmonics(degree, params):
+    """A product of two harmonic-1 terms lands in harmonics 0 and 2 only:
+    the harmonic-2 rows (4-7) have no linear part, nothing is constant, and
+    the harmonic-1 rows (0-3) have no quadratic part beyond rounding. The
+    search solves the two halves separately on this."""
+    model = _QuadraticModel(AnsatzSpec(params=params, degree=degree), G)
+    assert not model.L[4:].any()
+    assert not model.r0.any()
+    assert np.max(np.abs(model.B[:4])) <= 1e-13 * np.max(np.abs(model.B))
+
+
+def test_roots_form_a_cone():
+    """Harmonic 1 is linear and harmonic 2 homogeneous quadratic, so every
+    multiple of a root is a root: scaling its u2 part, or the whole field,
+    keeps the field compatible."""
+    u2 = slice(10, 20)
+    for seed in range(6):
+        root = find_compatible(SPEC, seed=seed).coeffs
+        for s in (1e-4, 1e-2, 1.0, 1e2):
+            scaled_u2 = root.copy()
+            scaled_u2[u2] *= s
+            for c in (scaled_u2, s * root):
+                rep = cf.check(assemble(SPEC, c, G))
+                assert rep.verdict == "compatible", (seed, s)
+                assert rep.defect_rel_max <= 1e-10, (seed, s, rep.defect_rel_max)
 
 
 def test_search_result_passes_check():
