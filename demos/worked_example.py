@@ -59,10 +59,12 @@ print(f"  {report.verdict}: defect / forcing = {report.defect_rel_max:.3e} "
       f"against tolerance {report.tol_rel:.1e}")
 print(f"  tangential wall residual {report.tangential_rel:.3e} relative "
       "(reported alongside, not part of the verdict)")
-cc = report.tangential["+1"]
+# report.tangential is indexed (wall, direction, slot, j): walls y = +1
+# and -1, directions x and z, slots cos and sin
+cc = report.tangential[0]
 print(f"  wall y = +1, x direction, sin slots: "
-      f"j=1 {cc['x'][1]['sin']:+.6f}, j=2 {cc['x'][2]['sin']:+.6f}")
-print(f"  wall y = +1, z direction, sin slot:  j=1 {cc['z'][1]['sin']:+.6f}")
+      f"j=1 {cc[0, 1, 1]:+.6f}, j=2 {cc[0, 1, 2]:+.6f}")
+print(f"  wall y = +1, z direction, sin slot:  j=1 {cc[1, 1, 1]:+.6f}")
 
 # The same numbers fall out of the closed forms, evaluated with no
 # collocation at all.

@@ -127,21 +127,20 @@ def _defect(f: WaveField) -> HarmonicScalar:
     return f2._like(YProfile(f.grid, m[0, ..., None] * phi[0] - m[1, ..., None] * phi[1]))
 
 
-def _wall_pressure(field: WaveField) -> HarmonicScalar:
-    """solve_pressure(field) at the walls, from psi moments of the source,
-    held as the profile p(+1) (1 + y)/2 + p(-1) (1 - y)/2, which is all
-    tangential_residual reads. Harmonics with a = 0 keep the solvability
-    test of the Neumann solve."""
-    grid = field.grid
-    # rows: the source and the wall-normal viscous term, as solve_pressure
-    both = stack([pressure_rhs(field), field.u2.laplacian()])
-    q, g = both.block.values[:, :, 0], both.block.values[:, :, 1] / field.params.reynolds
-    flat = np.sqrt(field.params.k2) * np.arange(both._size) == 0
-    require_neumann_solvable(q[:, flat], (g[:, flat, ..., 0], g[:, flat, ..., -1]), grid)
-    m, psi = _green(both, q, even=True)
-    p = psi[..., 0] * g[..., 0] - psi[..., -1] * g[..., -1] - m
-    ends = np.stack([1.0 + grid.y, 1.0 - grid.y]).reshape((2,) + (1,) * (p.ndim - 1) + (-1,))
-    return both._like(YProfile(grid, (p[..., None] * ends / 2).sum(axis=0)))
+def _wall_pressure(field: WaveField, lap: HarmonicScalar) -> np.ndarray:
+    """solve_pressure(field) at the walls y = +1, -1, shape (wall, slot, j),
+    from psi moments of the source. The Neumann data (1/Re) lap(u2) comes
+    from the u2 row of the stacked velocity Laplacian lap. Harmonics with
+    a = 0 keep the solvability test of the Neumann solve."""
+    src = pressure_rhs(field)
+    q = src.block.values
+    u2 = lap.row(1).block
+    pad = [(0, 0), (0, 0), (0, src._size - lap._size)]
+    g = np.pad(np.stack([u2.top, u2.bottom]), pad) / field.params.reynolds
+    flat = np.sqrt(field.params.k2) * np.arange(src._size) == 0
+    require_neumann_solvable(q[:, flat], (g[0][:, flat], g[1][:, flat]), field.grid)
+    m, psi = _green(src, q, even=True)
+    return psi[..., 0] * g[0] - psi[..., -1] * g[1] - m
 
 
 def dudt(field: WaveField) -> WaveField:
@@ -155,35 +154,29 @@ def divergence_defect(field: WaveField) -> HarmonicScalar:
     return _defect(forcing(field))
 
 
-def tangential_residual(field: WaveField, pressure: HarmonicScalar) -> dict:
+def tangential_residual(lap: HarmonicScalar, p: np.ndarray):
     """Wall residual (1/Re) lap(u) . t - grad(p) . t for the two tangential
-    directions t = x, z at both walls, per harmonic.
+    directions t = x, z at both walls, per harmonic, from the stacked
+    velocity Laplacian lap and the wall pressures p (wall, slot, j).
 
-    Returns {"+1"|"-1": {"x"|"z": {j: {"cos": value, "sin": value}}}}.
+    Returns the residual, shape (wall, direction, slot, j) with the walls
+    y = +1, -1 and the directions x, z, and the harmonics it is reported
+    for, a mask of shape (direction, j): those where lap(u . t) or p is not
+    zero.
     """
-    Re = field.params.reynolds
-    out = {"+1": {}, "-1": {}}
-    # grad(p) . x = dp/dx: cos entry j alpha pb, sin entry -j alpha pa
-    for t, u, dp in (("x", field.u1, pressure.dx()), ("z", field.u3, pressure.dz())):
-        lap = u.laplacian()
-        res = (1.0 / Re) * lap - dp
-        js = sorted(set(lap.harmonics()) | set(pressure.harmonics()))
-        for wall, vals in (("+1", res.block.top), ("-1", res.block.bottom)):
-            out[wall][t] = {j: dict(cos=float(vals[0, j]), sin=float(vals[1, j])) for j in js}
-    return out
-
-
-def _tangential_max(tres: dict) -> float:
-    """Largest magnitude over all entries; NaN if any entry is NaN (the
-    builtin max would drop it)."""
-    vals = [
-        abs(entry[k])
-        for walls in tres.values()
-        for per in walls.values()
-        for entry in per.values()
-        for k in ("cos", "sin")
-    ]
-    return float(np.max(vals, initial=0.0))
+    params = lap.params
+    rows = lap.row([0, 2])
+    pad = [(0, 0), (0, p.shape[-1] - lap._size)]
+    # scaled before the wall values are read, so a polynomial block is
+    # evaluated from the coefficients of (1/Re) lap: the other order moves
+    # the last digit of many reports
+    visc = ((1.0 / params.reynolds) * rows).block
+    visc = np.pad(np.stack([visc.top, visc.bottom]).transpose(0, 3, 1, 2), [(0, 0)] * 2 + pad)
+    # grad(p) . t = k dp/dtheta: cos entry j k pb, sin entry -j k pa
+    jk = np.array([params.alpha, params.beta])[:, None] * np.arange(p.shape[-1])
+    dp = np.stack([jk, -jk], axis=1) * p[:, None, ::-1]
+    live = np.pad(np.any(rows.block.data, axis=(0, -1)).T, pad) | np.any(p, axis=(0, 1))
+    return visc - dp, live
 
 
 def _report_head(params: FlowParams, n: int) -> dict:
@@ -208,26 +201,27 @@ class CompatReport:
     defect_rel_l2: float
     tangential_max_abs: float
     tangential_rel: float
-    tangential: dict
-    defect: HarmonicScalar = dfield(repr=False, default=None)
+    # (wall, direction, slot, j) and the harmonics reported per direction,
+    # as tangential_residual returns them
+    tangential: np.ndarray
+    tangential_live: np.ndarray
+    defect: HarmonicScalar = dfield(repr=False)
 
     def to_dict(self) -> dict:
-        per_harmonic = {}
-        if self.defect is not None:
-            for j, (a, b) in self.defect.items():
-                per_harmonic[str(j)] = {
-                    "cos_max": float(a.max_abs),
-                    "sin_max": float(b.max_abs),
-                }
+        peaks = np.max(np.abs(self.defect.block.values), axis=-1)
+        per_harmonic = {
+            str(j): {"cos_max": float(peaks[0, j]), "sin_max": float(peaks[1, j])}
+            for j in self.defect.harmonics()
+        }
         tang = {
             wall: {
                 t: {
-                    str(j): {"cos": float(e["cos"]), "sin": float(e["sin"])}
-                    for j, e in per.items()
+                    str(j): {"cos": float(res[0, j]), "sin": float(res[1, j])}
+                    for j in np.flatnonzero(live)
                 }
-                for t, per in walls.items()
+                for t, res, live in zip("xz", walls, self.tangential_live)
             }
-            for wall, walls in self.tangential.items()
+            for wall, walls in zip(("+1", "-1"), self.tangential)
         }
         return {
             **_report_head(self.params, self.n),
@@ -278,10 +272,11 @@ def check(field: WaveField, tol_rel: float = DEFAULT_TOL_REL) -> CompatReport:
         )
     dl2 = defect.l2()
 
-    p = _wall_pressure(field)
-    tres = tangential_residual(field, p)
-    tmax = _tangential_max(tres)
-    pmax = p.max_abs()
+    lap = field.stacked.laplacian()
+    p = _wall_pressure(field, lap)
+    tres, live = tangential_residual(lap, p)
+    tmax = float(np.max(np.abs(tres)))
+    pmax = float(np.max(np.abs(p)))
     if not (np.isfinite(pmax) and np.isfinite(tmax)):
         # a NaN here would reach report.json as the invalid JSON token NaN
         raise NumericalError(
@@ -307,5 +302,6 @@ def check(field: WaveField, tol_rel: float = DEFAULT_TOL_REL) -> CompatReport:
         tangential_max_abs=tmax,
         tangential_rel=tmax / fscale if fscale > 0 else 0.0,
         tangential=tres,
+        tangential_live=live,
         defect=defect,
     )

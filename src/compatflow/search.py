@@ -233,8 +233,10 @@ def find_compatible(
 
     Starts from x0 when given, otherwise from a seeded random draw; retries
     with fresh draws on stalls or trivial (vanishing-u2) limits, up to
-    MAX_RESTARTS times. A start's u2 coefficients are projected onto the
-    null space of L1 and scaled to unit norm; its u1 coefficients are kept.
+    MAX_RESTARTS times, or not at all when the null space of L1 has no
+    more dimensions than the 4 quadratics (degree <= 3), which then
+    generically holds no root. A start's u2 coefficients are projected onto
+    the null space of L1 and scaled to unit norm; its u1 coefficients are kept.
     Success means the max-abs defect is at most tol times the forcing
     max-abs and u2 carries at least 1e-3 of the field's volume-mean norm.
     Failure returns the best iterate rather than raising. model_gap_rel is
@@ -261,8 +263,10 @@ def find_compatible(
     N = np.linalg.svd(L1)[2][np.linalg.matrix_rank(L1):].T
     Q = N.T @ model.B[4:, u2, u2] @ N
 
+    # z^T Q z = 0 and |z| = 1: len(Q) + 1 equations in N.shape[1] unknowns
+    starts = MAX_RESTARTS + 1 if N.shape[1] > len(Q) else 1
     best = None
-    for restart in range(MAX_RESTARTS + 1):
+    for restart in range(starts):
         c = x0.copy() if restart == 0 and x0 is not None else rng.standard_normal(m)
         z = N.T @ c[u2]
         norm = np.linalg.norm(z)
@@ -299,5 +303,7 @@ def find_compatible(
             candidate.message = "converged to a trivial (u2 ~ 0) field"
         if best is None or candidate.residual_rel < best.residual_rel:
             best = candidate
-    best.message += f"; no acceptable root in {MAX_RESTARTS + 1} starts"
+    best.message += (f"; no acceptable root in {starts} starts" if starts > 1 else
+                     f"; one start: the null space of L1 has dimension {N.shape[1]}, "
+                     f"fewer than the {len(Q) + 1} equations")
     return best

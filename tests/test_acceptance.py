@@ -85,8 +85,8 @@ def test_criterion_3_defect_profiles_and_grid(tmp_path):
 def test_criterion_4_wall_residual_values():
     rep = cf.check(cf.example_field(PARAMS, G))
     cc = cf.example_cc_coeffs(PARAMS)
-    got_x = rep.tangential["+1"]["x"][1]["sin"]
-    got_z = rep.tangential["+1"]["z"][1]["sin"]
+    # wall y = +1, direction x or z, sin slot, j = 1
+    got_x, got_z = rep.tangential[0, :, 1, 1]
     rel_x = abs(got_x - cc["x"][1]["sin"]) / abs(cc["x"][1]["sin"])
     rel_z = abs(got_z - cc["z"][1]["sin"]) / abs(cc["z"][1]["sin"])
     anchored = abs(got_x - 0.0628) < 5e-5 and abs(got_z - (-0.237)) < 5e-4
@@ -100,15 +100,15 @@ def test_criterion_4_wall_residual_values():
 def _u2zero_wall_shear(u, wall_y):
     """Closed form of the tangential wall residual of a u2 = 0 field: the
     pressure vanishes and so does u at the wall, leaving (1/Re) a''(wall)
-    for every profile a of u1 (x) and u3 (z)."""
+    for every profile a of u1 (x) and u3 (z), as {direction: {j: [cos, sin]}}
+    with the directions numbered as in CompatReport.tangential."""
     out = {}
-    for t, comp in (("x", u.u1), ("z", u.u3)):
+    for t, comp in enumerate((u.u1, u.u3)):
         out[t] = {
-            j: {
-                slot: npoly.polyval(wall_y, npoly.polyder(p.poly, 2))
-                / u.params.reynolds
-                for slot, p in zip(("cos", "sin"), comp.get(j))
-            }
+            j: [
+                npoly.polyval(wall_y, npoly.polyder(p.poly, 2)) / u.params.reynolds
+                for p in comp.get(j)
+            ]
             for j in comp.harmonics()
         }
     return out
@@ -130,14 +130,15 @@ def test_criterion_5_zero_wall_normal_fields():
         fscale = rep.forcing_max_abs
         worst_div = max(worst_div, rep.defect_rel_max)
         worst_p = max(worst_p, cf.solve_pressure(u).max_abs() / fscale)
-        for wall, wall_y in (("+1", 1.0), ("-1", -1.0)):
+        for wall, wall_y in enumerate((1.0, -1.0)):
             want = _u2zero_wall_shear(u, wall_y)
-            for t in ("x", "z"):
-                got = rep.tangential[wall][t]
-                assert sorted(got) == sorted(want[t]), (wall, t)
+            for t in (0, 1):
+                got = rep.tangential[wall, t]
+                js = np.flatnonzero(rep.tangential_live[t]).tolist()
+                assert js == sorted(want[t]), (wall, t)
                 for j, entry in want[t].items():
-                    for slot, value in entry.items():
-                        d = abs(got[j][slot] - value) / fscale
+                    for slot, value in enumerate(entry):
+                        d = abs(got[slot, j] - value) / fscale
                         worst_tan = max(worst_tan, d)
     dt = time.perf_counter() - t0
     ok = worst_div <= 1e-8 and worst_p <= 1e-12 and worst_tan <= 1e-12 and dt < 30.0

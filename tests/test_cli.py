@@ -445,6 +445,16 @@ def test_find_writes_root_field(tmp_path, capsys):
     assert cf.check(field, tol_rel=1e-8).verdict == "compatible"
 
 
+def test_find_below_degree_4_reports_the_null_space(tmp_path, capsys):
+    rc = main(["find", "--degree", "2", "-o", str(tmp_path)])
+    assert rc == 1
+    stdout = capsys.readouterr().out
+    assert "one start: the null space of L1 has dimension 2, fewer than" in stdout
+    assert "(0 restarts)" in stdout
+    rep = json.loads((tmp_path / "search_report.json").read_text())
+    assert rep["success"] is False and rep["restarts"] == 0
+
+
 SUBCOMMANDS = ("check", "example", "oss", "find", "validate")
 
 

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,9 +121,14 @@ def test_report_per_harmonic_breakdown():
 
 def test_tangential_residual_covers_both_walls():
     rep = cf.check(cf.example_field(PARAMS, G))
-    assert set(rep.tangential) == {"+1", "-1"}
-    for wall in rep.tangential.values():
+    assert rep.tangential.shape == (2, 2, 2, 3)
+    walls = rep.to_dict()["tangential_residual"]["walls"]
+    assert set(walls) == {"+1", "-1"}
+    for wall in walls.values():
         assert set(wall) == {"x", "z"}
+    # (wall, direction, slot, j): wall 0 is y = +1, direction 0 is x
+    assert walls["+1"]["x"]["1"]["sin"] == rep.tangential[0, 0, 1, 1]
+    assert walls["-1"]["z"]["2"]["cos"] == rep.tangential[1, 1, 0, 2]
 
 
 def test_vorticity_rhs_warns_on_divergent_input():
@@ -292,7 +298,8 @@ def _draw(family, params, grid, rng):
 def test_wall_moments_match_the_boundary_value_solves(family, sampled, n):
     """The moment route of check against the solve route, in units of the
     forcing scale: the defect profile equals div(du/dt), the wall
-    pressures equal those of solve_pressure (j >= 1), and the solved
+    pressures equal those of solve_pressure (j >= 1), and so does check's
+    tangential residual (1/Re) lap(u_t) - d_t p (j >= 1); the solved
     defect is A cosh(j k y) + B sinh(j k y) (A + B y at j = 0) through its
     own wall values."""
     rng = np.random.default_rng([n, sampled, FAMILIES.index(family)])
@@ -306,12 +313,19 @@ def test_wall_moments_match_the_boundary_value_solves(family, sampled, n):
     solved = cf.divergence(cf.dudt(u))
     assert (cf.divergence_defect(u) - solved).max_abs() <= 1e-12 * fscale
 
-    p, want = compat._wall_pressure(u), cf.solve_pressure(u)
-    for wall in ("top", "bottom"):
-        got, ref = getattr(p.block, wall), getattr(want.block, wall)
-        k = min(got.shape[1], ref.shape[1])
-        assert np.max(np.abs(got[:, 1:k] - ref[:, 1:k])) <= 1e-12 * fscale
-        assert not got[:, k:].any() and not ref[:, k:].any()
+    def walls(h):
+        return np.stack([h.block.top, h.block.bottom])
+
+    def close(got, ref):
+        k = min(got.shape[-1], ref.shape[-1])
+        assert np.max(np.abs(got[..., 1:k] - ref[..., 1:k])) <= 1e-12 * fscale
+        assert not got[..., k:].any() and not ref[..., k:].any()
+
+    want = cf.solve_pressure(u)
+    close(compat._wall_pressure(u, u.stacked.laplacian()), walls(want))
+    visc = [(1.0 / params.reynolds) * c.laplacian() for c in (u.u1, u.u3)]
+    tangential = [walls(v - dp) for v, dp in zip(visc, (want.dx(), want.dz()))]
+    close(cf.check(u).tangential, np.stack(tangential, axis=1))
 
     vals = solved.block.values
     top, bottom = vals[..., :1], vals[..., -1:]
@@ -358,3 +372,39 @@ def test_l2_numbers_do_not_depend_on_the_phase(n, sampled):
             v = _shifted(u, phi)
             got = (cf.check(v).defect_l2, cf.forcing(v).l2())
             assert got == pytest.approx(ref, rel=rtol, abs=0), phi
+
+
+# Reports that check wrote for these fields before its wall quantities
+# became arrays (compatflow at commit f0c8753, numpy 2.4); tests/data holds
+# one report_<name>.json per entry.
+STORED_REPORTS = {
+    "example_n64_poly": lambda: cf.example_field(PARAMS, G),
+    "example_n128_sampled": lambda: cf.example_field(PARAMS, cf.cheb_grid(128)).strip_poly(),
+    "admissible_3_harmonics": lambda: random_admissible(
+        PARAMS, G, np.random.default_rng(2021), harmonics=(1, 2, 3)),
+    "u2zero": lambda: random_u2zero(
+        cf.FlowParams(0.8, 1.3, 400.0), G, np.random.default_rng(2022), harmonics=(0, 1, 2)),
+}
+
+
+def _assert_close(got, want, fscale, path="report"):
+    """Same keys at every level; numbers within 1e-12 relative, or 1e-12
+    of the forcing scale (1e-12 for the *_rel numbers, which are already
+    in its units) where a number is at rounding level; other values
+    equal."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_close(got[key], want[key], 1.0 if key.endswith("_rel") else fscale,
+                          f"{path}/{key}")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * fscale), path
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("name", sorted(STORED_REPORTS))
+def test_report_matches_the_stored_report(name):
+    want = json.loads((Path(__file__).parent / "data" / f"report_{name}.json").read_text())
+    got = json.loads(json.dumps(cf.check(STORED_REPORTS[name]()).to_dict()))
+    _assert_close(got, want, want["forcing_max_abs"])

@@ -74,12 +74,12 @@ def test_wall_coefficients_match_pipeline(triple):
     p = cf.FlowParams(*triple)
     rep = cf.check(cf.example_field(p, G))
     cc = cf.example_cc_coeffs(p)
-    top = rep.tangential["+1"]
-    for d in ("x", "z"):
+    top = rep.tangential[0]
+    for d, t in enumerate("xz"):
         for j in (1, 2):
-            for slot in ("cos", "sin"):
-                assert top[d][j][slot] == pytest.approx(
-                    cc[d][j][slot], rel=1e-9, abs=1e-9 * rep.forcing_max_abs
+            for slot, k in enumerate(("cos", "sin")):
+                assert top[d, slot, j] == pytest.approx(
+                    cc[t][j][k], rel=1e-9, abs=1e-9 * rep.forcing_max_abs
                 )
 
 

@@ -1,6 +1,7 @@
 """Ansatz assembly and the root search over its coefficients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,11 +250,28 @@ def test_search_restarts_from_a_start_without_u2():
 
 def test_search_without_null_space_fails_cleanly():
     """At degree 1, L1 (4 x 4) has full rank: no u2 direction leaves the
-    harmonic-1 defect at zero, so every start is the trivial u2 = 0 field."""
+    harmonic-1 defect at zero, so the start is the trivial u2 = 0 field,
+    reached without a Gauss-Newton step."""
     res = find_compatible(AnsatzSpec(params=PARAMS, degree=1), seed=0)
     assert not res.success
-    assert "no acceptable root in 6 starts" in res.message
+    assert res.message.startswith("converged to a trivial (u2 ~ 0) field")
+    assert res.iterations == 0
     assert not res.coeffs[4:].any()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_search_below_degree_4_makes_one_start(degree):
+    """2 (degree + 1) u2 coefficients less the 4 rows of L1 leave a null
+    space of dimension at most 4, fewer than the 4 quadratics plus |z| = 1:
+    generically no root, so the search stops after its first start."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = find_compatible(AnsatzSpec(params=PARAMS, degree=degree), seed=0)
+    assert not res.success
+    assert res.restarts == 0
+    dim = max(2 * (degree + 1) - 4, 0)
+    assert (f"one start: the null space of L1 has dimension {dim}, "
+            "fewer than the 5 equations") in res.message
 
 
 def test_search_seeded_at_reference_root():
