@@ -171,6 +171,10 @@ def load_field(path, n: int | None = None) -> WaveField:
         else:
             raise _bad(f"{where}.u3", "expected an object or the string 'continuity'")
         for name in _COMPONENTS:
+            # sin(0) = 0, so a j = 0 sine profile would be dropped unread
+            if j == 0 and not profs[name][1].is_zero():
+                raise _bad(f"{where}.{name}.sin",
+                           "must be zero (harmonic 0 has no sine part)")
             comp_data[name][j] = profs[name]
 
     comps = [HarmonicScalar(params, grid, comp_data[name]) for name in _COMPONENTS]

@@ -26,7 +26,7 @@ import numpy as np
 # the eigensolve goes through this name: bench/layers.py traces modes.sla.eig
 import numpy.linalg as sla
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .fieldops import FlowParams, HarmonicScalar, WaveField
 from .spectral import ChebGrid, YProfile, cheb_grid
 
@@ -170,6 +170,8 @@ def mode_to_field(
         raise ConfigurationError(f"amplitude must be finite, got {amplitude}")
     params, grid = mode.params, mode.grid
     k2 = params.k2
+    if k2 == 0:
+        raise DomainError("mode_to_field divides by k2: alpha = beta = 0 gives k2 = 0")
     vh = amplitude * mode.vhat.values
     Dv = grid.D @ vh
     u1h = 1j * params.alpha * Dv / k2

@@ -189,6 +189,26 @@ def test_check_incompatible_exit_code(example_file, tmp_path, capsys):
     assert grid.shape[0] == 128 * 64
 
 
+def test_check_prints_the_absolute_wall_shear_of_a_zero_forcing(tmp_path, capsys):
+    """u1 = y^2 - 1 at j = 0 has a zero forcing but a wall shear; the
+    relative residual in report.json falls back to 0, so stdout gives the
+    absolute value."""
+    path = tmp_path / "shear.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "n": 32,
+        "params": {"alpha": 1.0, "beta": 1.0, "reynolds": 80.0},
+        "harmonics": [{"j": 0, "u1": {"cos": {"poly": [-1.0, 0.0, 1.0]}}}],
+    }))
+    assert main(["check", str(path), "-o", str(tmp_path / "out")]) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["forcing_max_abs"] == 0.0
+    assert rep["tangential_residual"]["max_abs_rel"] == 0.0
+    wall = rep["tangential_residual"]["max_abs"]
+    assert wall == pytest.approx(2.0 / 80.0)
+    assert (f"tangential wall residual {wall:.3e} absolute, as the forcing is zero"
+            in capsys.readouterr().out)
+
+
 def test_check_refuses_non_finite_pressure(example_file, tmp_path, monkeypatch, capsys):
     """A NaN pressure source gives NaN wall pressures and a NaN tangential
     residual, which report.json would carry as the invalid JSON token NaN."""
@@ -427,6 +447,14 @@ def test_oss_mode_index_out_of_range(tmp_path, capsys):
         assert rc == 1
         assert "index" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+
+def test_oss_refuses_zero_wavenumber(tmp_path, capsys):
+    rc = main(["oss", "--alpha", "0", "--beta", "0", "--n", "32",
+               "-o", str(tmp_path)])
+    assert rc == 1
+    assert "alpha = beta = 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_find_writes_root_field(tmp_path, capsys):

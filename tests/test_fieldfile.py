@@ -31,6 +31,15 @@ def test_sampled_round_trip(tmp_path):
     assert (field - back).max_abs() == 0.0
 
 
+def test_harmonic_zero_round_trip(tmp_path):
+    # the writer emits no j = 0 sine profile, which the loader would refuse
+    field = cf.example_field(PARAMS, G) + cf.poiseuille_base(PARAMS, G)
+    for f in (field, field.strip_poly()):
+        path = tmp_path / "f.json"
+        save_field(f, path)
+        assert (f - load_field(path)).max_abs() == 0.0
+
+
 def test_written_polynomials_keep_their_own_length(tmp_path):
     # the harmonics of a scalar share one coefficient array, zero-padded to
     # the longest profile; the file holds each profile without that padding
@@ -205,6 +214,27 @@ class TestDiagnostics:
         doc["harmonics"] = [{"j": 1, "u2": {"cos": {key: data}}}]
         with pytest.raises(cf.ConfigurationError, match=f"u2.cos.{key}.*finite"):
             load_field(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("comp", ["u1", "u2", "u3"])
+    @pytest.mark.parametrize("key", ["poly", "values"])
+    def test_harmonic_zero_sine_must_be_zero(self, tmp_path, comp, key):
+        # sin(0) = 0: a nonzero profile there would load as no field at all
+        data = [0.0] * 8
+        data[2] = 1.0
+        doc = _base_doc()
+        doc["harmonics"] = [{"j": 1}, {"j": 0, comp: {"sin": {key: data}}}]
+        with pytest.raises(cf.ConfigurationError,
+                           match=rf"harmonics\[1\]\.{comp}\.sin: must be zero"):
+            load_field(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("key", ["poly", "values"])
+    def test_harmonic_zero_zero_sine_is_accepted(self, tmp_path, key):
+        doc = _base_doc()
+        doc["harmonics"] = [{"j": 0, "u1": {"cos": {"poly": [-1.0, 0.0, 1.0]},
+                                            "sin": {key: [0.0] * 8}}}]
+        field = load_field(_write(tmp_path, doc))
+        assert field.u1.get(0)[0].max_abs > 0
+        assert field.u1.get(0)[1].is_zero()
 
     def test_continuity_completion_requires_beta(self, tmp_path):
         doc = _base_doc()

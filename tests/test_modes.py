@@ -191,6 +191,12 @@ class TestModeToField:
         with pytest.raises(cf.ConfigurationError, match="amplitude must be finite"):
             cf.mode_to_field(modes[0], amp)
 
+    def test_rejects_zero_wavenumber(self):
+        """u1 and u3 of a mode come from continuity, which divides by k2."""
+        mode = cf.solve_orr_sommerfeld(cf.FlowParams(0.0, 0.0, 80.0), 32)[0]
+        with pytest.raises(cf.DomainError, match="alpha = beta = 0"):
+            cf.mode_to_field(mode, 1e-3)
+
     def test_without_base(self, modes):
         u = cf.mode_to_field(modes[1], 0.5, include_base=False)
         assert 0 not in u.u1.harmonics()
