@@ -2,7 +2,7 @@
 
 The divergence defect of the wall-normal/streamwise ansatz is an exactly
 quadratic function of its polynomial coefficients. The search exploits
-that: it reconstructs the quadratic map from 66 polarization probes
+that: it reconstructs the quadratic map from 65 polarization probes
 over the wall-normal coefficients (the streamwise ones cannot reach the
 defect of a single-harmonic field), which the pipeline evaluates
 together in one row block. The map splits by harmonic: the harmonic-1

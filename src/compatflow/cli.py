@@ -16,7 +16,6 @@ keys, floats in shortest round-trip form.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -27,18 +26,11 @@ import numpy as np
 from . import __version__
 from .compat import _report_head, check, forcing
 from .errors import CompatflowError
-from .fieldfile import load_field, save_field
+from .fieldfile import _write_json, load_field, save_field
 from .fieldops import FlowParams, WaveField, admissibility_violations
 from .spectral import cheb_grid
 
 GRID_NX, GRID_NY = 128, 64
-
-
-def _write_json(obj: dict, path: str):
-    # encoded first: a NaN (not a JSON token) raises before the file opens
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
 
 
 def _format_column(col) -> list[str]:

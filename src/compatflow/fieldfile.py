@@ -219,7 +219,12 @@ def field_to_dict(field: WaveField) -> dict:
     return {**_head(field.params, field.grid.n), "harmonics": harmonics}
 
 
-def save_field(field: WaveField, path):
+def _write_json(obj: dict, path):
+    # encoded first: a NaN (not a JSON token) raises before the file opens
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(field_to_dict(field), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def save_field(field: WaveField, path):
+    _write_json(field_to_dict(field), path)

@@ -52,6 +52,13 @@ class FlowParams:
             )
         if self.reynolds <= 0:
             raise ConfigurationError(f"reynolds must be positive, got {self.reynolds}")
+        # Python's ** raises OverflowError, and two finite squares can sum to inf
+        with np.errstate(over="ignore"):
+            k2 = np.square(float(self.alpha)) + np.square(float(self.beta))
+        if not np.isfinite(k2):
+            raise ConfigurationError(
+                f"alpha^2 + beta^2 must be finite, got alpha {self.alpha}, beta {self.beta}"
+            )
 
     @property
     def k2(self) -> float:
@@ -173,12 +180,6 @@ class HarmonicScalar:
     def harmonics(self) -> list[int]:
         live = np.any(self.block.data.reshape(2, self._size, -1), axis=(0, 2))
         return np.flatnonzero(live).tolist()
-
-    def copy(self) -> "HarmonicScalar":
-        # a block is never written after construction, so it is shared
-        out = object.__new__(HarmonicScalar)
-        vars(out).update(vars(self))
-        return out
 
     def _compat(self, other: "HarmonicScalar"):
         if self.grid != other.grid:

@@ -40,18 +40,17 @@ du/dt:
   with the rotation;
 - div(du/dt) sees only du_par/dt and dv/dt.
 
-So the u1 columns of L and every B entry that touches u1 are exactly
-zero, and the model is built from 1 + 2k + k(k-1)/2 probes over the k u2
-coefficients: 66 for the default ansatz, where all 20 would take 231. A
-multi-harmonic ansatz breaks the single-xi structure and would need the
-u1 probes again.
+So the model holds only the k u2 coefficients, and it is built from
+2k + k(k-1)/2 probes over them: 65 for the default ansatz, where all 20
+coefficients would take 230. A multi-harmonic ansatz breaks the
+single-xi structure and would need the u1 probes again.
 
 The probes do not run the pipeline one by one. Profiles carry an optional
 leading row axis, so assemble takes a (rows, m) block of coefficient
 vectors and the pipeline (forcing, then the wall moments of its u2
 component) evaluates the whole block at once, PROBE_BLOCK rows per run.
-The default 66 probes fit one block, and L (8, m) and B (8, m, m) come
-from one (66, 8) array of moments.
+The default 65 probes fit one block, and L1 (4, k) and B2 (4, k, k)
+come from one (65, 8) array of moments.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .compat import _defect, forcing
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .fieldops import FlowParams, HarmonicScalar, WaveField, _continuity_u3
 from .spectral import ChebGrid, YProfile, cheb_grid, polymul
 
@@ -167,43 +166,46 @@ class SearchResult:
 
 
 class _QuadraticModel:
-    """Exact quadratic model r(c) = r0 + L c + B[c, c] of the defect map,
-    built from polarization probes along the u2 coordinate directions.
+    """Exact quadratic model of the defect map over the k u2 coefficients
+    c2 = c[u2]: harmonic-1 rows L1 c2 and harmonic-2 rows B2[c2, c2], all
+    that the map holds (see the module docstring). The probes +-e_q and
+    e_q + e_p (q < p) along the u2 directions are stacked into one array
+    and evaluated PROBE_BLOCK rows per pipeline run; then
 
-    The u1 coefficients cannot reach the divergence defect of a
-    single-harmonic field (see the module docstring), so their columns of
-    L and rows and columns of B are exact zeros and are not probed. The
-    probes 0, +-e_q and e_q + e_p (q < p, both u2 indices) are stacked into
-    one array and evaluated PROBE_BLOCK rows per pipeline run; then
+        L1[:, q]    = (r(e_q) - r(-e_q))[:4] / 2
+        B2[:, q, q] = (r(e_q) + r(-e_q))[4:] / 2
+        B2[:, q, p] = B2[:, p, q] = (r(e_q + e_p) - r(e_q) - r(e_p))[4:] / 2
 
-        L[:, q]    = (r(e_q) - r(-e_q)) / 2
-        B[:, q, q] = (r(e_q) + r(-e_q)) / 2 - r0
-        B[:, q, p] = B[:, p, q] = (r(e_q + e_p) - r(e_q) - r(e_p) + r0) / 2
-    """
+    Under the split r(-e_q) mirrors r(e_q) exactly; those rows stay until a
+    faster search can be benchmarked (ROADMAP Direction 1), and dropping
+    them then changes no bit."""
 
     def __init__(self, spec: AnsatzSpec, grid: ChebGrid):
         m = spec.ncoeffs
-        live = np.arange(2 * (spec.degree + 1), m)
-        k = live.size
-        eye = np.eye(m)[live]
+        self.u2 = slice(2 * (spec.degree + 1), m)
+        eye = np.eye(m)[self.u2]
+        k = len(eye)
         q, p = np.triu_indices(k, k=1)
-        probes = np.vstack([np.zeros((1, m)), eye, -eye, eye[q] + eye[p]])
-        R = np.vstack([
-            _defect_samples(assemble(spec, block, grid))[0]
-            for block in np.split(probes, range(PROBE_BLOCK, len(probes), PROBE_BLOCK))
-        ])
-        r0, rp, rm, rqp = R[0], R[1 : k + 1], R[k + 1 : 2 * k + 1], R[2 * k + 1 :]
-        L = np.zeros((r0.size, m))
-        L[:, live] = 0.5 * (rp - rm).T
-        B = np.zeros((r0.size, m, m))
-        B[:, live, live] = (0.5 * (rp + rm) - r0).T
-        cross = (0.5 * (rqp - rp[q] - rp[p] + r0)).T
-        B[:, live[q], live[p]] = cross
-        B[:, live[p], live[q]] = cross
-        self.r0, self.L, self.B = r0, L, B
+        probes = np.vstack([eye, -eye, eye[q] + eye[p]])
+        # overflow is reported once, below, and not as a failed SVD
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = np.vstack([
+                _defect_samples(assemble(spec, block, grid))[0]
+                for block in np.split(probes, range(PROBE_BLOCK, len(probes), PROBE_BLOCK))
+            ])
+            rp, rm, rqp = R[:k], R[k : 2 * k], R[2 * k :]
+            self.L1 = 0.5 * (rp - rm).T[:4]
+            self.B2 = np.zeros((4, k, k))
+            self.B2[:, range(k), range(k)] = 0.5 * (rp + rm).T[4:]
+            self.B2[:, q, p] = self.B2[:, p, q] = 0.5 * (rqp - rp[q] - rp[p]).T[4:]
+        for name in ("L1", "B2"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise NumericalError(f"search model {name} is non-finite: the "
+                                     f"pipeline overflows at {spec.params}")
 
     def __call__(self, c):
-        return self.r0 + self.L @ c + np.einsum("ipq,p,q->i", self.B, c, c)
+        c2 = c[self.u2]
+        return np.concatenate([self.L1 @ c2, np.einsum("ipq,p,q->i", self.B2, c2, c2)])
 
 
 def _sphere_root(Q, z):
@@ -257,22 +259,19 @@ def find_compatible(
     grid = grid or cheb_grid(64)
     rng = np.random.default_rng(seed)
     model = _QuadraticModel(spec, grid)
-    # rows 0-3 are harmonic 1 (linear), rows 4-7 harmonic 2 (quadratic)
-    u2 = slice(2 * (spec.degree + 1), m)
-    L1 = model.L[:4, u2]
-    N = np.linalg.svd(L1)[2][np.linalg.matrix_rank(L1):].T
-    Q = N.T @ model.B[4:, u2, u2] @ N
+    N = np.linalg.svd(model.L1)[2][np.linalg.matrix_rank(model.L1):].T
+    Q = N.T @ model.B2 @ N
 
     # z^T Q z = 0 and |z| = 1: len(Q) + 1 equations in N.shape[1] unknowns
     starts = MAX_RESTARTS + 1 if N.shape[1] > len(Q) else 1
     best = None
     for restart in range(starts):
         c = x0.copy() if restart == 0 and x0 is not None else rng.standard_normal(m)
-        z = N.T @ c[u2]
+        z = N.T @ c[model.u2]
         norm = np.linalg.norm(z)
         # a start with no u2 in the null space has nowhere to go
         z, used, trace = _sphere_root(Q, z / norm) if norm > 0 else (z, 0, [])
-        c[u2] = N @ z
+        c[model.u2] = N @ z
         field = assemble(spec, c, grid)
         r_true, f = _defect_samples(field)
         fscale = f.max_abs()

@@ -331,9 +331,11 @@ def test_check_malformed_file(tmp_path, capsys):
      ("u2", -float("inf"), "finite"), ("alpha", float("nan"), "finite"),
      ("beta", -float("inf"), "finite"), ("reynolds", float("inf"), "finite"),
      ("alpha", "1.5", "number"), ("alpha", True, "number"), ("j", True, "integer"),
-     ("u2", 10**400, "too large"), ("reynolds", 10**400, "too large")],
+     ("u2", 10**400, "too large"), ("reynolds", 10**400, "too large"),
+     ("alpha", 1e200, "error: field file: params: alpha^2 + beta^2 must be finite")],
     ids=["nan", "+inf", "-inf", "alpha-nan", "beta--inf", "reynolds-inf",
-         "alpha-string", "alpha-bool", "j-bool", "u2-huge-int", "reynolds-huge-int"])
+         "alpha-string", "alpha-bool", "j-bool", "u2-huge-int", "reynolds-huge-int",
+         "k2-overflow"])
 def test_check_rejects_non_finite_file(tmp_path, capsys, key, bad, why):
     # u2 cos samples that are all NaN used to load and get "compatible"
     # with a defect and forcing scale of 0.0; a NaN alpha ended in a
@@ -356,9 +358,16 @@ def test_check_rejects_non_finite_file(tmp_path, capsys, key, bad, why):
     assert main(["validate", str(path)]) == 1
 
 
-@pytest.mark.parametrize("argv", [["find", "--reynolds", "nan"], ["oss", "--alpha", "nan"]],
-                         ids=["find", "oss"])
+@pytest.mark.parametrize(
+    "argv",
+    [["find", "--reynolds", "nan"], ["oss", "--alpha", "nan"],
+     ["oss", "--alpha", "1e200"], ["find", "--alpha", "1e200"],
+     ["example", "--alpha", "1e200"], ["find", "--alpha", "1e100"]],
+    ids=["find", "oss", "oss-k2-overflow", "find-k2-overflow", "example-k2-overflow",
+         "find-model-overflow"])
 def test_cli_rejects_non_finite_params(tmp_path, capsys, argv):
+    # alpha^2 overflowed in a traceback; at alpha = 1e100 k2 is finite but
+    # the search model overflows, which ended in a failed SVD
     rc = main(argv + ["-o", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err

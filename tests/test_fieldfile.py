@@ -48,7 +48,7 @@ def test_written_polynomials_keep_their_own_length(tmp_path):
         2: (prof(G, [-1.0, 0.5, 1.0, -0.5, 0.25]), cf.YProfile.zero(G)),
     })
     zero = cf.HarmonicScalar.zero(PARAMS, G)
-    field = cf.WaveField(u1, zero, zero.copy(), PARAMS, G)
+    field = cf.WaveField(u1, zero, zero, PARAMS, G)
     doc = field_to_dict(field)
     assert doc["harmonics"][0]["u1"]["cos"]["poly"] == [-1.0, 0.0, 1.0]
     assert doc["harmonics"][1]["u1"]["cos"]["poly"] == [-1.0, 0.5, 1.0, -0.5, 0.25]
@@ -70,6 +70,20 @@ def test_zero_u3_survives_round_trip(tmp_path):
     save_field(field, path)
     back = load_field(path)
     assert back.u3.harmonics() == []
+
+
+def test_save_refuses_a_nan_sample(tmp_path):
+    """YProfile(grid, values) does not validate, so a field can hold NaN;
+    the writer raises before the file exists instead of writing the token
+    NaN, which load_field refuses."""
+    vals = np.zeros(G.n)
+    vals[5] = np.nan
+    u1 = cf.HarmonicScalar(PARAMS, G, {1: (cf.YProfile(G, vals), cf.YProfile.zero(G))})
+    zero = cf.HarmonicScalar.zero(PARAMS, G)
+    path = tmp_path / "f.json"
+    with pytest.raises(ValueError):
+        save_field(cf.WaveField(u1, zero, zero, PARAMS, G), path)
+    assert not path.exists()
 
 
 def test_omitted_u3_is_completed_from_continuity(tmp_path):

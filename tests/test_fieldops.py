@@ -21,6 +21,15 @@ def test_reynolds_must_be_positive():
         cf.FlowParams(1.0, 1.0, -5.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1e200, 1.0), (1.0, -1e200), (1e154, 1e154)],
+                         ids=["alpha", "beta", "sum"])
+def test_wavenumbers_need_a_finite_k2(alpha, beta):
+    # Python's ** raises OverflowError on the first; the last two squares
+    # are finite and their sum is not
+    with pytest.raises(cf.ConfigurationError, match=r"alpha\^2 \+ beta\^2 must be finite"):
+        cf.FlowParams(alpha, beta, 80.0)
+
+
 def test_put_rejects_negative_harmonic():
     f = cf.HarmonicScalar.zero(PARAMS, GRID)
     with pytest.raises(cf.ConfigurationError):
@@ -368,7 +377,7 @@ def test_l2_volume_mean_convention():
 def test_field_l2_adds_in_quadrature():
     a = cf.HarmonicScalar.zero(PARAMS, GRID)
     a.put(1, prof(GRID, [1.0]), cf.YProfile.zero(GRID))
-    u = cf.WaveField(a, a.copy(), cf.HarmonicScalar.zero(PARAMS, GRID), PARAMS, GRID)
+    u = cf.WaveField(a, a, cf.HarmonicScalar.zero(PARAMS, GRID), PARAMS, GRID)
     assert u.l2() == pytest.approx(1.0, abs=1e-13)
 
 

@@ -111,26 +111,26 @@ def test_block_rows_match_scalar_evaluation(zero_cols):
 
 
 def test_quadratic_model_matches_scalar_polarization():
-    """L and B from the probe blocks equal the polarization formulas
-    evaluated one probe at a time: every diagonal entry and 10 pairs."""
+    """L1 and B2 from the probe blocks equal the polarization formulas
+    evaluated one probe at a time over the u2 coordinates: every diagonal
+    entry and 10 pairs."""
     model = _QuadraticModel(SPEC, G)
-    m = SPEC.ncoeffs
     ev = lambda c: residual(SPEC, c, G)
-    eye = np.eye(m)
-    r0 = ev(np.zeros(m))
+    eye = np.eye(SPEC.ncoeffs)[model.u2]
+    k = len(eye)
     rp = np.array([ev(e) for e in eye])
     rm = np.array([ev(-e) for e in eye])
-    Lscale, Bscale = np.max(np.abs(model.L)), np.max(np.abs(model.B))
-    assert np.max(np.abs(model.L - 0.5 * (rp - rm).T)) <= 1e-12 * Lscale
-    for q in range(m):
-        diag = 0.5 * (rp[q] + rm[q]) - r0
-        assert np.max(np.abs(model.B[:, q, q] - diag)) <= 1e-12 * Bscale
+    Lscale, Bscale = np.max(np.abs(model.L1)), np.max(np.abs(model.B2))
+    assert np.max(np.abs(model.L1 - 0.5 * (rp - rm)[:, :4].T)) <= 1e-12 * Lscale
+    for q in range(k):
+        diag = 0.5 * (rp[q] + rm[q])[4:]
+        assert np.max(np.abs(model.B2[:, q, q] - diag)) <= 1e-12 * Bscale
     rng = np.random.RandomState(34)
     for _ in range(10):
-        q, p = sorted(rng.choice(m, 2, replace=False))
-        cross = 0.5 * (ev(eye[q] + eye[p]) - rp[q] - rp[p] + r0)
-        assert np.max(np.abs(model.B[:, q, p] - cross)) <= 1e-12 * Bscale
-        assert np.array_equal(model.B[:, q, p], model.B[:, p, q])
+        q, p = sorted(rng.choice(k, 2, replace=False))
+        cross = 0.5 * (ev(eye[q] + eye[p]) - rp[q] - rp[p])[4:]
+        assert np.max(np.abs(model.B2[:, q, p] - cross)) <= 1e-12 * Bscale
+        assert np.array_equal(model.B2[:, q, p], model.B2[:, p, q])
 
 
 def test_model_build_is_batched_and_not_cached(monkeypatch):
@@ -178,9 +178,9 @@ def test_u1_slots_do_not_move_the_defect():
 
 
 def test_model_probes_only_u2_in_one_pipeline_run(monkeypatch):
-    """The default model takes one pipeline run over 1 + 2k + k(k-1)/2 = 66
-    probe rows (k = 10 u2 coefficients), and its u1 rows and columns are
-    exact zeros rather than probed rounding noise."""
+    """The default model takes one pipeline run over 2k + k(k-1)/2 = 65
+    probe rows (k = 10 u2 coefficients) and holds only the harmonic-1 rows
+    L1 and the harmonic-2 rows B2 over those coefficients."""
     rows = []
     orig = search._defect_samples
 
@@ -191,11 +191,9 @@ def test_model_probes_only_u2_in_one_pipeline_run(monkeypatch):
 
     monkeypatch.setattr(search, "_defect_samples", counting)
     model = _QuadraticModel(SPEC, G)
-    assert rows == [66]
-    u1 = slice(0, 10)
-    assert not model.L[:, u1].any()
-    assert not model.B[:, u1, :].any() and not model.B[:, :, u1].any()
-    assert model.L[:, 10:].any() and model.B[:, 10:, 10:].any()
+    assert rows == [65]
+    assert model.u2 == slice(10, 20)
+    assert model.L1.shape == (4, 10) and model.B2.shape == (4, 10, 10)
 
 
 @pytest.mark.parametrize(
@@ -297,13 +295,43 @@ SPLIT_PARAMS = [PARAMS] + [
 @pytest.mark.parametrize("degree", [4, 8, 12])
 def test_model_splits_into_linear_and_quadratic_harmonics(degree, params):
     """A product of two harmonic-1 terms lands in harmonics 0 and 2 only:
-    the harmonic-2 rows (4-7) have no linear part, nothing is constant, and
-    the harmonic-1 rows (0-3) have no quadratic part beyond rounding. The
-    search solves the two halves separately on this."""
-    model = _QuadraticModel(AnsatzSpec(params=params, degree=degree), G)
-    assert not model.L[4:].any()
-    assert not model.r0.any()
-    assert np.max(np.abs(model.B[:4])) <= 1e-13 * np.max(np.abs(model.B))
+    on the pipeline, the defect of c = 0 is exactly zero, the harmonic-1
+    rows (0-3) of the defect of s c are s times those of c, and the
+    harmonic-2 rows (4-7) s^2 times, u1 included. The search model holds
+    L1 and B2 alone on this."""
+    spec = AnsatzSpec(params=params, degree=degree)
+    assert not residual(spec, np.zeros(spec.ncoeffs), G).any()
+    rng = np.random.RandomState(37)
+    for _ in range(3):
+        c = rng.uniform(-1, 1, spec.ncoeffs)
+        r = residual(spec, c, G)
+        for s in (-3.0, 0.5, 7.0):
+            rs, f = _defect_samples(assemble(spec, s * c, G))
+            assert np.max(np.abs(rs[:4] - s * r[:4])) <= 1e-13 * f.max_abs()
+            assert np.max(np.abs(rs[4:] - s**2 * r[4:])) <= 1e-13 * f.max_abs()
+
+
+@pytest.mark.parametrize("degree", [4, 8, 12])
+def test_negative_probes_mirror_positive_ones(degree):
+    """r(-e_q) is r(e_q) with its harmonic-1 rows negated and its
+    harmonic-2 rows repeated, bit for bit, in one probe block as the model
+    evaluates it: the -e_q probes add nothing to L1 and B2."""
+    spec = AnsatzSpec(params=PARAMS, degree=degree)
+    eye = np.eye(spec.ncoeffs)[2 * (degree + 1):]
+    R, _ = _defect_samples(assemble(spec, np.vstack([eye, -eye]), G))
+    rp, rm = np.split(R, 2)
+    assert np.array_equal(rm[:, :4], -rp[:, :4])
+    assert np.array_equal(rm[:, 4:], rp[:, 4:])
+
+
+def test_search_reports_a_non_finite_model():
+    """At alpha = 1e100, k2 is finite but the viscous rows of the model
+    overflow: the search names the non-finite model instead of warning and
+    failing in the SVD."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cf.NumericalError, match="model L1 is non-finite"):
+            find_compatible(AnsatzSpec(params=cf.FlowParams(1e100, 1.0, 80.0)))
 
 
 def test_roots_form_a_cone():
@@ -320,6 +348,21 @@ def test_roots_form_a_cone():
                 rep = cf.check(assemble(SPEC, c, G))
                 assert rep.verdict == "compatible", (seed, s)
                 assert rep.defect_rel_max <= 1e-10, (seed, s, rep.defect_rel_max)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("params", [PARAMS, cf.FlowParams(5.0, 5.0, 100.0)],
+                         ids=["default", "5-5-100"])
+def test_roots_recheck_on_a_finer_grid(params, n):
+    """A root found on n nodes is a root of the field, not of the grid: it
+    re-checks on 128 nodes. Below about 28 nodes it does not (README
+    "Known limitations")."""
+    spec = AnsatzSpec(params=params)
+    for seed in range(3):
+        res = find_compatible(spec, seed=seed, grid=cf.cheb_grid(n))
+        assert res.success, res.message
+        rep = cf.check(assemble(spec, res.coeffs, cf.cheb_grid(128)))
+        assert rep.defect_rel_max <= 1e-12, (seed, rep.defect_rel_max)
 
 
 def test_search_result_passes_check():
