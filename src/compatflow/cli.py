@@ -16,6 +16,7 @@ keys, floats in shortest round-trip form.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -24,8 +25,8 @@ import numpy as np
 # check and validate need only these; example, oss and find import the
 # oracle, the eigensolver and the search when they run
 from . import __version__
-from .compat import _report_head, check, forcing
-from .errors import CompatflowError
+from .compat import _report_head, check
+from .errors import CompatflowError, ConfigurationError, NumericalError
 from .fieldfile import _write_json, load_field, save_field
 from .fieldops import FlowParams, WaveField, admissibility_violations
 from .spectral import cheb_grid
@@ -121,40 +122,32 @@ def cmd_validate(args) -> int:
     return 2
 
 
-def cmd_example(args) -> int:
+def _example_discrepancies(fnum: WaveField, report) -> dict:
+    """Largest relative discrepancy of each pipeline stage of the sampled
+    example field fnum, whose check gave report, from its closed form."""
     from .fieldops import curl
     from .oracle import (
         example_cc_coeffs,
         example_div_coeffs,
         example_dudt,
-        example_field,
         example_forcing,
         example_vorticity,
     )
     from .poisson import solve_dudt
 
-    params = _params_from(args)
-    grid = cheb_grid(args.n)
-    field = example_field(params, grid)
-    os.makedirs(args.out_dir, exist_ok=True)
-    save_field(field, os.path.join(args.out_dir, "example_field.json"))
-
-    # run the pipeline on plain samples so the comparison exercises the
-    # collocation operators rather than exact polynomial bookkeeping
-    fnum = field.strip_poly()
-    blocks = {}
+    params, grid = fnum.params, fnum.grid
 
     def rel(pipeline, ref):
         scale = ref.max_abs()
         return (pipeline - ref).max_abs() / scale if scale > 0 else 0.0
 
-    blocks["vorticity"] = rel(curl(fnum), example_vorticity(params, grid))
-    f_pipe = forcing(fnum)
-    blocks["forcing"] = rel(f_pipe, example_forcing(params, grid))
-    blocks["dudt"] = rel(solve_dudt(f_pipe), example_dudt(params, grid))
+    blocks = {
+        "vorticity": rel(curl(fnum), example_vorticity(params, grid)),
+        "forcing": rel(report.forcing, example_forcing(params, grid)),
+        "dudt": rel(solve_dudt(report.forcing), example_dudt(params, grid)),
+    }
     # the defect and the wall residual as check reads them, from wall
     # moments of the forcing
-    report = check(fnum)
     dref = example_div_coeffs(params, grid)
     blocks["div_coeffs"] = (report.defect - dref).max_abs() / dref.max_abs()
 
@@ -164,10 +157,34 @@ def cmd_example(args) -> int:
                        for t in "xz"])
     cc_diff = np.max(np.abs(report.tangential[0, ..., 1:3] - cc_ref))
     blocks["cc_coeffs"] = cc_diff / np.max(np.abs(cc_ref))
+    return blocks
+
+
+def cmd_example(args) -> int:
+    from .oracle import example_field
+
+    params = _params_from(args)
+    grid = cheb_grid(args.n)
+    field = example_field(params, grid)
+    # run the pipeline on plain samples so the comparison exercises the
+    # collocation operators rather than exact polynomial bookkeeping; check
+    # refuses a non-finite forcing before anything is written
+    fnum = field.strip_poly()
+    report = check(fnum)
+    # the closed forms overflow long before the pipeline does (exp(8 k) in
+    # example_dudt from alpha = 100 on, a Python float power from about
+    # 1e50): they are compared quietly and a non-finite one reported once
+    blocks = None
+    with np.errstate(all="ignore"), contextlib.suppress(OverflowError, ConfigurationError):
+        blocks = _example_discrepancies(fnum, report)
+    if blocks is None or not np.all(np.isfinite(list(blocks.values()))):
+        raise NumericalError(f"closed forms of the example overflow at {params}")
 
     for name, value in blocks.items():
         print(f"{name}: max relative discrepancy {value:.3e}")
 
+    os.makedirs(args.out_dir, exist_ok=True)
+    save_field(field, os.path.join(args.out_dir, "example_field.json"))
     _write_json(
         {
             **_report_head(params, args.n),
@@ -320,8 +337,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, CompatflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FileNotFoundError, CompatflowError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation (an n x n matrix at a
+        # large --n or --degree); a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

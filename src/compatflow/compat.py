@@ -50,10 +50,8 @@ from .fieldops import (
     FlowParams,
     HarmonicScalar,
     WaveField,
-    _curl,
     curl,
     divergence,
-    gradient,
     require_admissible,
     stack,
 )
@@ -70,7 +68,8 @@ def vorticity_rhs(field: WaveField) -> WaveField:
     The 18 products are one harmonic_product of stacked scalars with rows
     (term, m, i): u_m and w_m, broadcast over i, times dw_i/dx_m and
     du_i/dx_m. Each component adds its terms for m = 0, 1, 2 in turn,
-    advection before stretching.
+    advection before stretching. The divergence, w and du_i/dx_m all come
+    from the one gradient of the field.
 
     The divergence warning compares the arrays the profiles are held in
     (the coefficients of a polynomial field), so no polynomial is sampled
@@ -87,11 +86,9 @@ def vorticity_rhs(field: WaveField) -> WaveField:
             "the vorticity route assumes a solenoidal field",
             stacklevel=2,
         )
-    u = field.stacked
-    gu = stack(gradient(u))
-    w = _curl(gu).stacked
-    products = stack([u, w]).row(np.s_[:, :, None]) * stack([stack(gradient(w)), gu])
-    acc = (1.0 / field.params.reynolds) * w.laplacian()
+    u, gu, w = field.stacked, field.gradient, curl(field)
+    products = stack([u, w.stacked]).row(np.s_[:, :, None]) * stack([w.gradient, gu])
+    acc = (1.0 / field.params.reynolds) * w.stacked.laplacian()
     for m in range(3):
         acc = acc - products.row((0, m))
         acc = acc + products.row((1, m))
@@ -187,7 +184,8 @@ def _report_head(params: FlowParams, n: int) -> dict:
 
 @dataclass
 class CompatReport:
-    """Everything measured by check(), JSON-serializable via to_dict()."""
+    """Everything measured by check(), JSON-serializable via to_dict(),
+    with the defect and the forcing it was measured from."""
 
     params: FlowParams
     n: int
@@ -206,6 +204,7 @@ class CompatReport:
     tangential: np.ndarray
     tangential_live: np.ndarray
     defect: HarmonicScalar = dfield(repr=False)
+    forcing: WaveField = dfield(repr=False)
 
     def to_dict(self) -> dict:
         peaks = np.max(np.abs(self.defect.block.values), axis=-1)
@@ -253,13 +252,12 @@ def check(field: WaveField, tol_rel: float = DEFAULT_TOL_REL) -> CompatReport:
     """
     if not 0.0 <= tol_rel < np.inf:
         raise ConfigurationError(f"tolerance must be finite and >= 0, got {tol_rel}")
-    require_admissible(field)
-
-    # overflow in the products surfaces as inf/NaN in the two scales and is
-    # reported once, below, instead of as one warning per operation; a
-    # divergent input has been warned about once, by require_admissible
+    # overflow in the gradient and the products surfaces as inf/NaN in the
+    # two scales and is reported once, below, instead of as one warning per
+    # operation; a divergent input is warned about once, by require_admissible
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.filterwarnings("ignore", "input field divergence", UserWarning)
+        require_admissible(field)
         f = forcing(field)
         fscale = f.max_abs()
         defect = _defect(f)
@@ -304,4 +302,5 @@ def check(field: WaveField, tol_rel: float = DEFAULT_TOL_REL) -> CompatReport:
         tangential=tres,
         tangential_live=live,
         defect=defect,
+        forcing=f,
     )

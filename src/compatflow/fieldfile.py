@@ -41,13 +41,15 @@ def _bad(where: str, why: str) -> ConfigurationError:
     return ConfigurationError(f"field file: {where}: {why}")
 
 
-def _is_number(v) -> bool:
-    # json reads true and false as bools, which are ints to isinstance
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _numbers(seq) -> bool:
+    """Whether every entry is an int or a float, in one pass over their
+    types: json gives exact types, and a bool (an int to isinstance) or a
+    subclass is refused."""
+    return set(map(type, seq)) <= {int, float}
 
 
 def _num_list(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not all(_is_number(v) for v in obj):
+    if not isinstance(obj, list) or not obj or not _numbers(obj):
         raise _bad(where, "expected a non-empty list of numbers")
     try:
         arr = np.asarray(obj, dtype=float)
@@ -115,7 +117,7 @@ def load_field(path, n: int | None = None) -> WaveField:
         vals = [pobj[key] for key in _PARAMS]
     except KeyError as exc:
         raise _bad("params", f"missing entry {exc.args[0]!r}") from exc
-    if not all(map(_is_number, vals)):
+    if not _numbers(vals):
         raise _bad("params", f"alpha, beta and reynolds must be numbers, got {vals}")
     try:
         params = FlowParams(*map(float, vals))

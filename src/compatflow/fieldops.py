@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -318,7 +319,8 @@ class WaveField:
     acts on the three components at once. u1, u2, u3 and components are
     read-only views of its rows: writing to one (put) leaves the field as
     it was. A field that mixes polynomial and sampled components is held
-    sampled as a whole."""
+    sampled as a whole. A field is never changed in place, so its velocity
+    gradient is built once, on first use, and kept (see gradient)."""
 
     def __init__(self, u1, u2, u3, params: FlowParams, grid: ChebGrid):
         for c in (u1, u2, u3):
@@ -348,6 +350,12 @@ class WaveField:
     def components(self) -> tuple[HarmonicScalar, HarmonicScalar, HarmonicScalar]:
         return (self.u1, self.u2, self.u3)
 
+    @cached_property
+    def gradient(self) -> HarmonicScalar:
+        """The velocity gradient, one stacked scalar with rows (derivative,
+        component): the only place the field's first derivatives are built."""
+        return stack(gradient(self.stacked))
+
     def max_abs(self) -> float:
         return self.stacked.max_abs()
 
@@ -370,17 +378,15 @@ class WaveField:
 
 
 def divergence(field: WaveField) -> HarmonicScalar:
-    return field.u1.dx() + field.u2.dy() + field.u3.dz()
+    """The trace of field.gradient, dx u1 + dy u2 + dz u3."""
+    g = field.gradient
+    return g.row((0, 0)) + g.row((1, 1)) + g.row((2, 2))
 
 
 def curl(field: WaveField) -> WaveField:
-    return _curl(stack(gradient(field.stacked)))
-
-
-def _curl(g: HarmonicScalar) -> WaveField:
-    """Curl from a stacked gradient, rows (derivative, component): one
-    subtraction of two sets of its rows, (dy u3, dz u1, dx u2) minus
-    (dz u2, dx u3, dy u1)."""
+    """One subtraction of two sets of rows of field.gradient, (dy u3, dz u1,
+    dx u2) minus (dz u2, dx u3, dy u1)."""
+    g = field.gradient
     return WaveField.of(g.row(([1, 2, 0], [2, 0, 1])) - g.row(([2, 0, 1], [1, 2, 0])))
 
 

@@ -60,14 +60,20 @@ def _os_pencil(params: FlowParams, grid: ChebGrid):
     orthonormal basis Z of interior samples with zero wall slopes, so that
     vhat[1:-1] = Z g; rows are the collocation nodes 2..n-3."""
     y, k2 = grid.y, params.k2
-    S = grid.D2 - k2 * np.eye(grid.n)
-    A = (
-        1j * params.alpha * ((1.0 - y**2)[:, None] * S)
-        + 2j * params.alpha * np.eye(grid.n)
-        - (1.0 / params.reynolds) * (S @ S)
-    )
     Z = np.linalg.svd(grid.D[[0, -1], 1:-1])[2][2:].T  # the wall-slope rows have rank 2
-    return A[2:-2, 1:-1] @ Z, 1j * S[2:-2, 1:-1] @ Z, Z
+    # (D2 - k2)^2 / Re overflows long before k2 itself does (alpha = 1e100,
+    # Re = 1e-320): refused once here instead of warned about per operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = grid.D2 - k2 * np.eye(grid.n)
+        A = (
+            1j * params.alpha * ((1.0 - y**2)[:, None] * S)
+            + 2j * params.alpha * np.eye(grid.n)
+            - (1.0 / params.reynolds) * (S @ S)
+        )
+        A, B = A[2:-2, 1:-1] @ Z, 1j * S[2:-2, 1:-1] @ Z
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise NumericalError(f"Orr-Sommerfeld operator is not finite at {params}")
+    return A, B, Z
 
 
 def _os_spectrum(params: FlowParams, grid: ChebGrid):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .fieldops import HarmonicScalar, WaveField, gradient, stack
+from .fieldops import HarmonicScalar, WaveField, stack
 from .spectral import ChebGrid, YProfile
 
 
@@ -98,9 +98,9 @@ def solve_dudt(forcing: WaveField) -> WaveField:
 def pressure_rhs(field: WaveField) -> HarmonicScalar:
     """Source term of the pressure Poisson equation,
     -(du_j/dx_i)(du_i/dx_j), assembled in coefficient space: one
-    harmonic_product of the velocity gradient, stacked with rows (i, j),
-    and its transpose, with the terms added in the order i, j."""
-    grad = stack(gradient(field.stacked))
+    harmonic_product of the velocity gradient (field.gradient, rows
+    (i, j)) and its transpose, with the terms added in the order i, j."""
+    grad = field.gradient
     products = grad * grad.swap_rows()
     q = -products.row((0, 0))
     for i, j in np.ndindex(3, 3):

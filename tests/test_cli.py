@@ -18,7 +18,7 @@ import compatflow as cf
 from compatflow import compat
 from compatflow.cli import _write_csv, _write_json, main
 from compatflow.fieldfile import field_to_dict, load_field, save_field
-from helpers import random_u2zero
+from helpers import count_calls, random_u2zero
 
 PARAMS = cf.FlowParams(1.0, 1.0, 80.0)
 
@@ -397,6 +397,60 @@ def test_check_rejects_overflowing_field(tmp_path, capsys):
     assert err.startswith("error: non-finite result") and err.count("\n") == 1, err
     assert [str(w.message) for w in caught] == []
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [(["example", "--alpha", "1e100"], "non-finite result"),
+     (["example", "--reynolds", "1e-320"], "non-finite result"),
+     (["example", "--alpha", "100"], "closed forms of the example overflow"),
+     (["example", "--alpha", "1e50"], "closed forms of the example overflow"),
+     (["oss", "--alpha", "1e100"], "Orr-Sommerfeld operator is not finite"),
+     (["oss", "--reynolds", "1e-320"], "Orr-Sommerfeld operator is not finite")],
+    ids=["example-alpha", "example-reynolds", "example-closed-form-exp",
+         "example-closed-form-power", "oss-alpha", "oss-reynolds"])
+def test_cli_rejects_overflowing_params(tmp_path, capsys, argv, why):
+    # finite parameters whose operators overflow: example ended in an
+    # OverflowError traceback or numpy warnings after writing
+    # example_field.json, oss in numpy warnings from the pencil
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv + ["-o", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {why}") and err.count("\n") == 1, err
+    assert [str(w.message) for w in caught] == []
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [(["check", "field.json", "--n", "100000"], "compatflow.cli", "load_field"),
+     (["oss", "--n", "100000"], "compatflow.modes", "solve_orr_sommerfeld"),
+     (["find", "--degree", "100000"], "compatflow.search", "find_compatible")],
+    ids=["check", "oss", "find"])
+@pytest.mark.parametrize("message, shown",
+                         [("Unable to allocate 74.5 GiB", "Unable to allocate 74.5 GiB"),
+                          ("", "out of memory")], ids=["numpy", "bare"])
+def test_cli_reports_memory_error(tmp_path, capsys, monkeypatch, argv, module, name,
+                                  message, shown):
+    # an n x n matrix at a huge --n or --degree ended in a numpy traceback;
+    # the callee is made to fail instead of allocating
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(importlib.import_module(module), name, fail)
+    rc = main(argv + ["-o", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {shown}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_example_computes_the_forcing_once(tmp_path, monkeypatch):
+    # check's forcing is reused for the closed-form comparison
+    calls = count_calls(monkeypatch, compat, "vorticity_rhs")
+    assert main(["example", "--n", "32", "-o", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_validate_accepts_admissible_field(example_file, capsys):

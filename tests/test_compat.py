@@ -220,6 +220,20 @@ def test_vorticity_rhs_is_one_product(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("sampled", [False, True], ids=["poly", "sampled"])
+def test_check_builds_each_gradient_once(monkeypatch, sampled):
+    """One check takes d/dy three times, once per field whose gradient it
+    needs (u, its vorticity w and the vorticity balance), and reports the
+    forcing it computed, bit for bit that of forcing()."""
+    field = random_admissible(PARAMS, G, np.random.RandomState(52), harmonics=(0, 1, 2))
+    field = field.strip_poly() if sampled else field
+    calls = count_calls(monkeypatch, fieldops.HarmonicScalar, "dy")
+    rep = cf.check(field)
+    assert len(calls) == 3
+    want = cf.forcing(field)
+    assert np.array_equal(rep.forcing.stacked.block.data, want.stacked.block.data)
+
+
 def test_forcing_of_polynomial_field_samples_nothing(monkeypatch):
     """The forcing of a polynomial field stays in coefficients: no profile
     is evaluated at the nodes on the way, and the result is polynomial."""

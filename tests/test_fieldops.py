@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import compatflow as cf
-from helpers import prof, random_admissible, random_scalar, random_vector, rel_diff
+from helpers import (prof, random_admissible, random_scalar, random_u2zero, random_vector,
+                     rel_diff)
 
 PARAMS = cf.FlowParams(1.2, 0.7, 50.0)
 GRID = cf.cheb_grid(32)
@@ -358,6 +359,38 @@ def test_block_curl_and_divergence_match_per_component_formulas(sampled, rows):
         k = min(a.shape[1], b.shape[1])
         assert np.array_equal(a[:, :k], b[:, :k])
         assert not a[:, k:].any() and not b[:, k:].any()
+
+
+def _gradient_fields():
+    """Seeded ansatz, admissible, u2 = 0 and sampled fields, and a 65-row
+    block from search.assemble."""
+    rng = np.random.default_rng(62)
+    spec = cf.AnsatzSpec(PARAMS)
+    ansatz = cf.assemble(spec, rng.standard_normal(spec.ncoeffs), GRID)
+    admissible = random_admissible(PARAMS, GRID, rng, harmonics=(0, 1, 2, 3))
+    u2zero = random_u2zero(PARAMS, GRID, rng)
+    return {
+        "ansatz": ansatz,
+        "admissible": admissible,
+        "u2zero": u2zero,
+        "sampled-ansatz": ansatz.strip_poly(),
+        "sampled-admissible": admissible.strip_poly(),
+        "block": cf.assemble(spec, rng.standard_normal((65, spec.ncoeffs)), GRID),
+    }
+
+
+@pytest.mark.parametrize("name", list(_gradient_fields()))
+def test_divergence_and_curl_read_the_one_gradient(name):
+    """divergence and curl, both read from the field's one cached gradient,
+    equal bit for bit the componentwise formulas on its rows."""
+    u = _gradient_fields()[name]
+    assert u.gradient is u.gradient
+    u1, u2, u3 = u.components
+    pairs = [(cf.divergence(u), u1.dx() + u2.dy() + u3.dz())]
+    want = (u3.dy() - u2.dz(), u1.dz() - u3.dx(), u2.dx() - u1.dy())
+    pairs += zip(cf.curl(u).components, want)
+    for got, ref in pairs:
+        assert np.array_equal(got.block.data, ref.block.data)
 
 
 def test_l2_volume_mean_convention():
