@@ -17,17 +17,16 @@ _HOMES = {
                "NumericalError", "ValidationError"),
     "spectral": ("ChebGrid", "YProfile", "cheb_grid"),
     "fieldops": ("FlowParams", "HarmonicScalar", "WaveField",
-                 "admissibility_violations", "curl", "divergence", "eval_field",
-                 "gradient", "harmonic_product", "require_admissible"),
+                 "admissibility_violations", "curl", "divergence",
+                 "harmonic_product", "require_admissible"),
     "poisson": ("BVPSpec", "solve_bvp", "solve_dudt", "solve_pressure"),
-    "compat": ("CompatReport", "check", "divergence_defect", "dudt", "forcing",
-               "tangential_residual", "vorticity_rhs"),
+    "compat": ("CompatReport", "check", "forcing", "tangential_residual",
+               "vorticity_rhs"),
     "oracle": ("example_cc_coeffs", "example_div_coeffs", "example_dudt",
                "example_field", "example_forcing", "example_vorticity"),
     "modes": ("ModeResult", "mode_to_field", "poiseuille_base",
               "solve_orr_sommerfeld"),
-    "search": ("AnsatzSpec", "SearchResult", "assemble", "find_compatible",
-               "residual"),
+    "search": ("AnsatzSpec", "SearchResult", "assemble", "find_compatible"),
     "fieldfile": ("load_field", "save_field"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -171,9 +171,8 @@ def cmd_example(args) -> int:
     # refuses a non-finite forcing before anything is written
     fnum = field.strip_poly()
     report = check(fnum)
-    # the closed forms overflow long before the pipeline does (exp(8 k) in
-    # example_dudt from alpha = 100 on, a Python float power from about
-    # 1e50): they are compared quietly and a non-finite one reported once
+    # the closed forms overflow on a Python float power from about alpha =
+    # 1e50: they are compared quietly and a non-finite one reported once
     blocks = None
     with np.errstate(all="ignore"), contextlib.suppress(OverflowError, ConfigurationError):
         blocks = _example_discrepancies(fnum, report)
@@ -247,7 +246,7 @@ def cmd_oss(args) -> int:
 
 
 def cmd_find(args) -> int:
-    from .search import AnsatzSpec, find_compatible
+    from .search import AnsatzSpec, assemble, find_compatible
 
     params = _params_from(args)
     spec = AnsatzSpec(params=params, degree=args.degree)
@@ -259,13 +258,24 @@ def cmd_find(args) -> int:
         f"{result.iterations} iterations ({result.restarts} restarts); "
         f"model gap {result.model_gap_rel:.3e} relative"
     )
+    # a coarse grid can hold a root that the field does not: the root
+    # counts only if check() also passes it on a finer grid
+    fine = cheb_grid(max(2 * args.n, 128))
+    recheck = check(assemble(spec, result.coeffs, fine), tol_rel=args.tol)
+    success = result.success and recheck.verdict == "compatible"
+    print(f"re-check on {fine.n} nodes: {recheck.verdict}, residual "
+          f"{recheck.defect_rel_max:.3e} relative")
+    if result.success and not success:
+        result.message += f"; the re-check on {fine.n} nodes fails"
     os.makedirs(args.out_dir, exist_ok=True)
     _write_json(
         {
             **_report_head(params, args.n),
             "degree": args.degree,
             "seed": args.seed,
-            "success": bool(result.success),
+            "success": success,
+            "recheck_n": fine.n,
+            "recheck_residual_rel": float(recheck.defect_rel_max),
             "residual_rel": float(result.residual_rel),
             "model_gap_rel": float(result.model_gap_rel),
             "iterations": int(result.iterations),
@@ -278,7 +288,7 @@ def cmd_find(args) -> int:
     )
     if result.field is not None:
         save_field(result.field, os.path.join(args.out_dir, "found_field.json"))
-    return 0 if result.success else 1
+    return 0 if success else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -23,9 +23,9 @@ for u'' - a^2 u (a = j k in harmonic j), with no boundary-value solve:
     psi_+- = cosh(a (1 +- y)) / (a sinh(2a)), (1 +- y)^2/4 at a = 0 under
     the zero-mean gauge.
 
-The integrals are Clenshaw-Curtis sums. dudt (through solve_dudt) and
-solve_pressure solve the two problems on the nodes instead: they are the
-independent route that the tests compare against.
+The integrals are Clenshaw-Curtis sums. poisson.solve_dudt (of the
+forcing) and poisson.solve_pressure solve the two problems on the nodes
+instead: they are the independent route that the tests compare against.
 
 The verdict is decided by the divergence defect alone, measured relative to
 the max-abs of the forcing f. The tangential residuals are reported next to
@@ -55,7 +55,7 @@ from .fieldops import (
     require_admissible,
     stack,
 )
-from .poisson import pressure_rhs, require_neumann_solvable, solve_dudt
+from .poisson import pressure_rhs, require_neumann_solvable
 from .spectral import YProfile
 
 DEFAULT_TOL_REL = 1e-7
@@ -138,17 +138,6 @@ def _wall_pressure(field: WaveField, lap: HarmonicScalar) -> np.ndarray:
     require_neumann_solvable(q[:, flat], (g[0][:, flat], g[1][:, flat]), field.grid)
     m, psi = _green(src, q, even=True)
     return psi[..., 0] * g[0] - psi[..., -1] * g[1] - m
-
-
-def dudt(field: WaveField) -> WaveField:
-    """du/dt from the Dirichlet solves (the independent route)."""
-    return solve_dudt(forcing(field))
-
-
-def divergence_defect(field: WaveField) -> HarmonicScalar:
-    """Divergence of the Dirichlet-solved du/dt, per harmonic, from the
-    wall moments of the forcing."""
-    return _defect(forcing(field))
 
 
 def tangential_residual(lap: HarmonicScalar, p: np.ndarray):

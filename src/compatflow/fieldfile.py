@@ -180,7 +180,7 @@ def load_field(path, n: int | None = None) -> WaveField:
             comp_data[name][j] = profs[name]
 
     comps = [HarmonicScalar(params, grid, comp_data[name]) for name in _COMPONENTS]
-    return WaveField(*comps, params, grid)
+    return WaveField(*comps)
 
 
 def _dump_profile(prof: YProfile) -> dict:

@@ -117,7 +117,8 @@ class HarmonicScalar:
     """Scalar harmonic series held in one profile block: `block.values` is
     (2, J+1, n), or (2, J+1, rows, n) for a block of fields, with the
     (cos, sin) slot on axis 0 and the harmonic index j on axis 1; `poly`
-    follows the same layout."""
+    follows the same layout. Built from its (cos, sin) profile pairs
+    {j: (a, b)}, zero without them, and never changed in place."""
 
     def __init__(self, params: FlowParams, grid: ChebGrid, data=None):
         self.params = params
@@ -159,15 +160,6 @@ class HarmonicScalar:
     def swap_rows(self) -> "HarmonicScalar":
         """A view with the first two row axes swapped."""
         return self._view(_map(self.block, lambda a: a.swapaxes(2, 3)))
-
-    def put(self, j: int, a: YProfile, b: YProfile):
-        data = dict(self.items())
-        data[j] = (a, b)
-        self.block = HarmonicScalar(self.params, self.grid, data).block
-
-    @classmethod
-    def zero(cls, params: FlowParams, grid: ChebGrid) -> "HarmonicScalar":
-        return cls(params, grid)
 
     def get(self, j: int) -> tuple[YProfile, YProfile]:
         if 0 <= j < self._size:
@@ -316,32 +308,27 @@ class WaveField:
     """Velocity-like vector field with components (u1, u2, u3) =
     (streamwise, wall-normal, spanwise), held as one stacked scalar whose
     first row axis is the component (see stack), so that every operation
-    acts on the three components at once. u1, u2, u3 and components are
-    read-only views of its rows: writing to one (put) leaves the field as
-    it was. A field that mixes polynomial and sampled components is held
-    sampled as a whole. A field is never changed in place, so its velocity
-    gradient is built once, on first use, and kept (see gradient)."""
+    acts on the three components at once; the flow parameters and the
+    grid are the components' own, and stack refuses components that
+    disagree on them. u1, u2, u3 and components are views of its rows. A
+    field that mixes polynomial and sampled components is held sampled as
+    a whole. Neither a field nor a scalar is ever changed in place, so its
+    velocity gradient is built once, on first use, and kept (see
+    gradient)."""
 
-    def __init__(self, u1, u2, u3, params: FlowParams, grid: ChebGrid):
-        for c in (u1, u2, u3):
-            if c.grid != grid or c.params != params:
-                raise ConfigurationError("component grid/params mismatch")
+    def __init__(self, u1: HarmonicScalar, u2: HarmonicScalar, u3: HarmonicScalar):
         self.stacked = stack([u1, u2, u3])
-        self.params, self.grid = params, grid
 
     @classmethod
     def of(cls, stacked: HarmonicScalar) -> "WaveField":
         """The field whose components are rows 0, 1, 2 of the first row
         axis of a stacked scalar, held as it is, without restacking."""
         out = object.__new__(cls)
-        out.stacked, out.params, out.grid = stacked, stacked.params, stacked.grid
+        out.stacked = stacked
         return out
 
-    @classmethod
-    def zero(cls, params: FlowParams, grid: ChebGrid) -> "WaveField":
-        z = HarmonicScalar.zero(params, grid)
-        return cls(z, z, z, params, grid)
-
+    params = property(lambda self: self.stacked.params)
+    grid = property(lambda self: self.stacked.grid)
     u1 = property(lambda self: self.stacked.row(0))
     u2 = property(lambda self: self.stacked.row(1))
     u3 = property(lambda self: self.stacked.row(2))
@@ -354,7 +341,8 @@ class WaveField:
     def gradient(self) -> HarmonicScalar:
         """The velocity gradient, one stacked scalar with rows (derivative,
         component): the only place the field's first derivatives are built."""
-        return stack(gradient(self.stacked))
+        u = self.stacked
+        return stack([u.dx(), u.dy(), u.dz()])
 
     def max_abs(self) -> float:
         return self.stacked.max_abs()
@@ -390,10 +378,6 @@ def curl(field: WaveField) -> WaveField:
     return WaveField.of(g.row(([1, 2, 0], [2, 0, 1])) - g.row(([2, 0, 1], [1, 2, 0])))
 
 
-def gradient(f: HarmonicScalar):
-    return (f.dx(), f.dy(), f.dz())
-
-
 def _continuity_u3(params: FlowParams, j: int, u1_pair, u2_pair):
     """Spanwise (cos, sin) profiles a3, b3 that close the divergence at
     harmonic j >= 1 of the u1 and u2 pairs: j alpha b1 + a2' + j beta b3 = 0
@@ -409,11 +393,6 @@ def _continuity_u3(params: FlowParams, j: int, u1_pair, u2_pair):
     b3 = (-1.0 / (j * be)) * (j * al * b1 + a2.deriv())
     a3 = (1.0 / (j * be)) * (b2.deriv() - j * al * a1)
     return a3, b3
-
-
-def eval_field(field: WaveField, x, y, z):
-    """Velocity components at physical points. y must lie in [-1, 1]."""
-    return tuple(c.evaluate(x, y, z) for c in field.components)
 
 
 def admissibility_violations(field: WaveField):

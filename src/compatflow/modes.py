@@ -51,8 +51,8 @@ def poiseuille_base(params: FlowParams, grid: ChebGrid) -> WaveField:
         grid,
         {0: (YProfile.from_poly(grid, [1.0, 0.0, -1.0]), YProfile.zero(grid))},
     )
-    z = HarmonicScalar.zero(params, grid)
-    return WaveField(u1, z, z, params, grid)
+    z = HarmonicScalar(params, grid)
+    return WaveField(u1, z, z)
 
 
 def _os_pencil(params: FlowParams, grid: ChebGrid):
@@ -192,7 +192,7 @@ def mode_to_field(
     u1 = HarmonicScalar(params, grid, {1: pair(u1h)})
     u2 = HarmonicScalar(params, grid, {1: pair(vh)})
     u3 = HarmonicScalar(params, grid, {1: pair(u3h)})
-    field = WaveField(u1, u2, u3, params, grid)
+    field = WaveField(u1, u2, u3)
     if include_base:
         field = field + poiseuille_base(params, grid)
     return field

@@ -11,7 +11,9 @@ diagnostic pipeline has a closed form for this field: vorticity, forcing,
 time derivative, divergence defect coefficients, and the tangential wall
 residual coefficients. These are used as independent cross-checks of the
 numerical pipeline; the polynomial stages are exact, the remaining ones mix
-polynomials and hyperbolic terms in y.
+polynomials and hyperbolic terms in y. The hyperbolic terms are ratios
+written in exponentials of non-positive arguments (see _ratios), so no
+wavenumber overflows them.
 """
 
 from __future__ import annotations
@@ -28,11 +30,24 @@ def _need_beta(params: FlowParams):
         raise DomainError("the example construction divides by beta; beta must be nonzero")
 
 
+def _ratios(a, y):
+    """cosh(a y) / cosh(a) and sinh(a y) / sinh(a) for a > 0 and |y| <= 1,
+    in exponentials of non-positive arguments, as compat._green writes its
+    kernels."""
+    p, m = np.exp(a * (y - 1)), np.exp(-a * (y + 1))
+    return (p + m) / (1 + np.exp(-2 * a)), (p - m) / -np.expm1(-2 * a)
+
+
+def _tanh(a):
+    """tanh(a) for a > 0, in exponentials of non-positive arguments."""
+    return -np.expm1(-2 * a) / (1 + np.exp(-2 * a))
+
+
 def example_field(params: FlowParams, grid: ChebGrid) -> WaveField:
     """The example velocity field, with exact polynomial profiles."""
     _need_beta(params)
     be = params.beta
-    u1 = HarmonicScalar.zero(params, grid)
+    u1 = HarmonicScalar(params, grid)
     u2 = HarmonicScalar(
         params,
         grid,
@@ -43,7 +58,7 @@ def example_field(params: FlowParams, grid: ChebGrid) -> WaveField:
         grid,
         {1: (YProfile.zero(grid), YProfile.from_poly(grid, [0.0, 4.0 / be, 0.0, -4.0 / be]))},
     )
-    return WaveField(u1, u2, u3, params, grid)
+    return WaveField(u1, u2, u3)
 
 
 def example_vorticity(params: FlowParams, grid: ChebGrid) -> WaveField:
@@ -62,7 +77,7 @@ def example_vorticity(params: FlowParams, grid: ChebGrid) -> WaveField:
     w1 = HarmonicScalar(params, grid, {1: (zero, w1b)})
     w2 = HarmonicScalar(params, grid, {1: (w2a, zero)})
     w3 = HarmonicScalar(params, grid, {1: (zero, w3b)})
-    return WaveField(w1, w2, w3, params, grid)
+    return WaveField(w1, w2, w3)
 
 
 def example_forcing(params: FlowParams, grid: ChebGrid) -> WaveField:
@@ -112,7 +127,7 @@ def example_forcing(params: FlowParams, grid: ChebGrid) -> WaveField:
     f1 = HarmonicScalar(params, grid, {2: (zero, B12)})
     f2 = HarmonicScalar(params, grid, {1: (A21, zero), 2: (A22, zero)})
     f3 = HarmonicScalar(params, grid, {1: (zero, B31), 2: (zero, B32)})
-    return WaveField(f1, f2, f3, params, grid)
+    return WaveField(f1, f2, f3)
 
 
 def example_dudt(params: FlowParams, grid: ChebGrid) -> WaveField:
@@ -125,7 +140,8 @@ def example_dudt(params: FlowParams, grid: ChebGrid) -> WaveField:
     k2 = params.k2
     s = np.sqrt(k2)
     y = grid.y
-    e = np.exp
+    ch1, sh1 = _ratios(s, y)
+    ch2, sh2 = _ratios(2 * s, y)
     zero = YProfile.zero(grid)
 
     b12 = (
@@ -149,39 +165,28 @@ def example_dudt(params: FlowParams, grid: ChebGrid) -> WaveField:
         * y**2
         * (2 * al**4 + 4 * al**2 * be**2 + 6 * al**2 + 2 * be**4 + 6 * be**2 - 45)
         / k2**3
-        - al
-        * e(-2 * y * s)
-        * (16 * al**4 + 32 * al**2 * be**2 + 84 * al**2 + 16 * be**4 + 84 * be**2 + 45)
-        / (2 * (e(-2 * s) + e(2 * s)) * k2**4)
-        - al
-        * e(2 * y * s)
-        * (16 * al**4 + 32 * al**2 * be**2 + 84 * al**2 + 16 * be**4 + 84 * be**2 + 45)
-        / (2 * (e(-2 * s) + e(2 * s)) * k2**4)
+        - al * ch2 * (16 * k2**2 + 84 * k2 + 45) / (2 * k2**4)
     )
     a21 = (
-        2 * y**2 * (al**2 + be**2 + 6) / Re
-        - 8 * e((y + 1) * s) / (Re * (e(2 * s) + 1))
-        - y**4 * (al**2 + be**2) / Re
-        - (al**2 + be**2 + 4) / Re
-        - 8 * e(-y * s) / (Re * (e(-s) + e(s)))
+        2 * y**2 * (k2 + 6) / Re
+        - y**4 * k2 / Re
+        - (k2 + 4) / Re
+        - 8 * ch1 / Re
     )
     a22 = (
-        2 * y**3 * (2 * al**2 + 2 * be**2 - 15) / k2**2
+        2 * y**3 * (2 * k2 - 15) / k2**2
         - 6 * y**5 / k2
         + y * (2 * al**4 + 4 * al**2 * be**2 + 6 * al**2 + 2 * be**4 + 6 * be**2 - 45) / k2**3
-        + 3 * e(-2 * y * s) * (8 * al**2 + 8 * be**2 + 15) / ((e(-2 * s) - e(2 * s)) * k2**3)
-        - 3 * e(2 * y * s) * (8 * al**2 + 8 * be**2 + 15) / ((e(-2 * s) - e(2 * s)) * k2**3)
+        + 3 * sh2 * (8 * k2 + 15) / k2**3
     )
-    b31 = (4.0 / (Re * be)) * (k2 * y**3 - (k2 + 6.0) * y) + 24.0 * np.sinh(s * y) / (
-        Re * be * np.sinh(s)
-    )
+    b31 = (4.0 / (Re * be)) * (k2 * y**3 - (k2 + 6.0) * y) + 24.0 * sh1 / (Re * be)
     b32 = (
         -(2 * al**2 / (be * k2)) * y**6
         + ((2 * al**2 * k2 + 15 * be**2) / (be * k2**2)) * y**4
         + ((2 * al**2 * k2**2 - 6 * be**2 * k2 + 45 * be**2) / (be * k2**3)) * y**2
         - 2 * al**2 / (be * k2)
         - be * (2 * k2**2 + 6 * k2 - 45) / (2 * k2**4)
-        - be * (16 * k2**2 + 84 * k2 + 45) * np.cosh(2 * s * y) / (2 * k2**4 * np.cosh(2 * s))
+        - be * (16 * k2**2 + 84 * k2 + 45) * ch2 / (2 * k2**4)
     )
 
     du1 = HarmonicScalar(params, grid, {2: (zero, YProfile.from_values(grid, b12))})
@@ -201,33 +206,22 @@ def example_dudt(params: FlowParams, grid: ChebGrid) -> WaveField:
             2: (zero, YProfile.from_values(grid, b32)),
         },
     )
-    return WaveField(du1, du2, du3, params, grid)
+    return WaveField(du1, du2, du3)
 
 
 def example_div_coeffs(params: FlowParams, grid: ChebGrid) -> HarmonicScalar:
     """Divergence defect of the example's time derivative: cosine profiles
     at harmonics 1 and 2, sine profiles identically zero."""
     _need_beta(params)
-    al, be, Re = params.alpha, params.beta, params.reynolds
-    k2 = params.k2
+    Re, k2 = params.reynolds, params.k2
     s = np.sqrt(k2)
-    y = grid.y
-    e = np.exp
+    _, sh1 = _ratios(s, grid.y)
+    ch2, _ = _ratios(2 * s, grid.y)
 
-    C1 = 3 * e(2 * s) + s - e(2 * s) * s + 3
-    da1 = 8 * e(-y * s) * (e((2 * y + 1) * s) - e(s)) * C1 / (Re * (e(4 * s) - 1))
-    C2 = (
-        (16 * e(4 * s) - 16) * k2**3
-        - (90 * e(4 * s) + 90) * k2**1.5
-        + al**2 * (45 * e(4 * s) - 45)
-        + al**4 * (84 * e(4 * s) - 84)
-        + be**2 * (45 * e(4 * s) - 45)
-        + be**4 * (84 * e(4 * s) - 84)
-        - al**2 * (48 * e(4 * s) + 48) * k2**1.5
-        - be**2 * (48 * e(4 * s) + 48) * k2**1.5
-        + al**2 * be**2 * (168 * e(4 * s) - 168)
-    )
-    da2 = -e(-2 * (y - 1) * s) * (e(4 * y * s) + 1) * C2 / ((e(8 * s) - 1) * k2**4)
+    da1 = 8 * sh1 * (3 - s * _tanh(s)) / Re
+    P = 16 * k2**3 + 84 * k2**2 + 45 * k2
+    Q = (48 * k2 + 90) * k2**1.5
+    da2 = -ch2 * (P - Q / _tanh(2 * s)) / k2**4
 
     zero = YProfile.zero(grid)
     return HarmonicScalar(
@@ -247,10 +241,9 @@ def example_cc_coeffs(params: FlowParams) -> dict:
     al, be, Re = params.alpha, params.beta, params.reynolds
     k2 = params.k2
     s = np.sqrt(k2)
-    e = np.exp
 
-    ccxb1 = 8 * al * (e(2 * s) - 1) / (Re * (e(2 * s) + 1) * s)
-    cczb1 = 8 * be * (e(2 * s) - 1) / (Re * (e(2 * s) + 1) * s) - 24 / (Re * be)
+    ccxb1 = 8 * al * _tanh(s) / (Re * s)
+    cczb1 = 8 * be * _tanh(s) / (Re * s) - 24 / (Re * be)
     C3 = (
         (2 * al**2 + 2 * be**2 - 15) / (2 * k2**2)
         - 1 / k2
@@ -269,8 +262,7 @@ def example_cc_coeffs(params: FlowParams) -> dict:
             - 45
         )
         / (4 * k2**4)
-        + (24 * al**2 + 24 * be**2 + 45) / (2 * (e(4 * s) - 1) * k2**3.5)
-        + 3 * e(4 * s) * (8 * al**2 + 8 * be**2 + 15) / (2 * (e(4 * s) - 1) * k2**3.5)
+        + (24 * k2 + 45) / (2 * _tanh(2 * s) * k2**3.5)
     )
     ccxb2 = -2 * al * C3
     cczb2 = -2 * be * C3

@@ -128,28 +128,20 @@ def assemble(spec: AnsatzSpec, coeffs, grid: ChebGrid | None = None) -> WaveFiel
     )
     pairs = ((a1, b1), (a2, b2), _continuity_u3(params, 1, (a1, b1), (a2, b2)))
     u1, u2, u3 = (HarmonicScalar(params, grid, {1: pair}) for pair in pairs)
-    return WaveField(u1, u2, u3, params, grid)
+    return WaveField(u1, u2, u3)
 
 
 def _defect_samples(field: WaveField):
     """The wall values d(+1), d(-1) of the divergence defect in each slot
     of harmonics 1 and 2, ordered (j, slot, wall): 8 numbers, or (rows, 8)
     for a block from assemble. Also returns the forcing they come from,
-    whose max-abs only the callers that read it evaluate."""
+    whose max-abs only the callers that read it evaluate. The harmonic-0
+    defect vanishes for every field (the test suite checks it), so it is
+    not sampled."""
     f = forcing(field)
     d = _defect(f).block.values[:, list(RESIDUAL_HARMONICS)][..., [0, -1]]
     d = np.moveaxis(d, (1, 0), (-3, -2))
     return d.reshape(d.shape[:-3] + (-1,)), f
-
-
-def residual(spec: AnsatzSpec, coeffs, grid: ChebGrid | None = None) -> np.ndarray:
-    """Wall values of the divergence defect, harmonics 1 and 2 (see
-    _defect_samples).
-
-    The harmonic-0 defect of this ansatz vanishes identically (checked in
-    the test suite, not assumed silently), so it is not sampled."""
-    r, _ = _defect_samples(assemble(spec, coeffs, grid))
-    return r
 
 
 @dataclass

@@ -8,7 +8,7 @@ which lets the tests pin tight tolerances on the operators themselves.
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from compatflow import FlowParams, HarmonicScalar, WaveField, YProfile
+from compatflow import HarmonicScalar, WaveField, YProfile
 
 WALL = np.array([-1.0, 0.0, 1.0])  # y^2 - 1, ascending coefficients
 WALL2 = npoly.polymul(WALL, WALL)
@@ -20,23 +20,17 @@ def prof(grid, coeffs):
 
 def random_scalar(params, grid, rng, harmonics=(0, 1, 2, 3), degree=3):
     """Random harmonic scalar with polynomial profiles (no wall conditions)."""
-    f = HarmonicScalar.zero(params, grid)
+    data = {}
     for j in harmonics:
         a = prof(grid, rng.uniform(-1, 1, degree + 1))
         b = prof(grid, rng.uniform(-1, 1, degree + 1))
-        f.put(j, a, b)
-    return f
+        data[j] = (a, b)
+    return HarmonicScalar(params, grid, data)
 
 
 def random_vector(params, grid, rng, harmonics=(0, 1, 2), degree=3):
     """Random vector field; generally neither no-slip nor divergence-free."""
-    return WaveField(
-        random_scalar(params, grid, rng, harmonics, degree),
-        random_scalar(params, grid, rng, harmonics, degree),
-        random_scalar(params, grid, rng, harmonics, degree),
-        params,
-        grid,
-    )
+    return WaveField(*(random_scalar(params, grid, rng, harmonics, degree) for _ in range(3)))
 
 
 def random_admissible(params, grid, rng, harmonics=(1, 2), degree=3):
@@ -47,15 +41,12 @@ def random_admissible(params, grid, rng, harmonics=(1, 2), degree=3):
     The mean mode, when requested, gets independent u1/u3 profiles and no
     wall-normal flow.
     """
-    u1 = HarmonicScalar.zero(params, grid)
-    u2 = HarmonicScalar.zero(params, grid)
-    u3 = HarmonicScalar.zero(params, grid)
+    u1, u2, u3 = {}, {}, {}
+    zero = YProfile.zero(grid)
     for j in harmonics:
         if j == 0:
-            u1.put(0, prof(grid, npoly.polymul(WALL, rng.uniform(-1, 1, degree + 1))),
-                   YProfile.zero(grid))
-            u3.put(0, prof(grid, npoly.polymul(WALL, rng.uniform(-1, 1, degree + 1))),
-                   YProfile.zero(grid))
+            u1[0] = (prof(grid, npoly.polymul(WALL, rng.uniform(-1, 1, degree + 1))), zero)
+            u3[0] = (prof(grid, npoly.polymul(WALL, rng.uniform(-1, 1, degree + 1))), zero)
             continue
         a1 = npoly.polymul(WALL, rng.uniform(-1, 1, degree + 1))
         b1 = npoly.polymul(WALL, rng.uniform(-1, 1, degree + 1))
@@ -64,10 +55,10 @@ def random_admissible(params, grid, rng, harmonics=(1, 2), degree=3):
         ja, jb = j * params.alpha, j * params.beta
         b3 = -npoly.polyadd(ja * b1, npoly.polyder(a2)) / jb
         a3 = npoly.polyadd(npoly.polyder(b2), -ja * a1) / jb
-        u1.put(j, prof(grid, a1), prof(grid, b1))
-        u2.put(j, prof(grid, a2), prof(grid, b2))
-        u3.put(j, prof(grid, a3), prof(grid, b3))
-    return WaveField(u1, u2, u3, params, grid)
+        u1[j] = (prof(grid, a1), prof(grid, b1))
+        u2[j] = (prof(grid, a2), prof(grid, b2))
+        u3[j] = (prof(grid, a3), prof(grid, b3))
+    return WaveField(*(HarmonicScalar(params, grid, c) for c in (u1, u2, u3)))
 
 
 def random_u2zero(params, grid, rng, harmonics=(1, 2), degree=2):
@@ -78,20 +69,18 @@ def random_u2zero(params, grid, rng, harmonics=(1, 2), degree=2):
     are polynomials of total degree four.
     """
     ratio = params.alpha / params.beta
-    u1 = HarmonicScalar.zero(params, grid)
-    u2 = HarmonicScalar.zero(params, grid)
-    u3 = HarmonicScalar.zero(params, grid)
+    u1, u3 = {}, {}
+    zero = YProfile.zero(grid)
     for j in harmonics:
         a1 = npoly.polymul(WALL, rng.uniform(-1, 1, degree + 1))
         b1 = npoly.polymul(WALL, rng.uniform(-1, 1, degree + 1))
         if j == 0:
-            u1.put(0, prof(grid, a1), YProfile.zero(grid))
-            u3.put(0, prof(grid, npoly.polymul(WALL, rng.uniform(-1, 1, degree + 1))),
-                   YProfile.zero(grid))
+            u1[0] = (prof(grid, a1), zero)
+            u3[0] = (prof(grid, npoly.polymul(WALL, rng.uniform(-1, 1, degree + 1))), zero)
         else:
-            u1.put(j, prof(grid, a1), prof(grid, b1))
-            u3.put(j, prof(grid, -ratio * a1), prof(grid, -ratio * b1))
-    return WaveField(u1, u2, u3, params, grid)
+            u1[j] = (prof(grid, a1), prof(grid, b1))
+            u3[j] = (prof(grid, -ratio * a1), prof(grid, -ratio * b1))
+    return WaveField(*(HarmonicScalar(params, grid, c) for c in (u1, {}, u3)))
 
 
 def rel_diff(f, g):

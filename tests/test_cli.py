@@ -47,6 +47,16 @@ def test_example_writes_expected_files(tmp_path):
         assert blocks[name] < 1e-9, name
 
 
+@pytest.mark.parametrize("alpha", ["100", "400"])
+def test_example_cross_checks_large_wavenumbers(tmp_path, alpha):
+    """The closed forms stay finite where exp(8 k) would overflow."""
+    out = tmp_path / "out"
+    assert main(["example", "--alpha", alpha, "-o", str(out)]) == 0
+    blocks = json.loads((out / "example_report.json").read_text())["max_relative_discrepancy"]
+    assert np.all(np.isfinite(list(blocks.values())))
+    assert blocks["forcing"] < 1e-12 and blocks["dudt"] < 1e-7
+
+
 def test_example_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -213,10 +223,9 @@ def test_check_refuses_non_finite_pressure(example_file, tmp_path, monkeypatch, 
     """A NaN pressure source gives NaN wall pressures and a NaN tangential
     residual, which report.json would carry as the invalid JSON token NaN."""
     def nan_pressure(field):
-        p = cf.HarmonicScalar.zero(field.params, field.grid)
-        p.put(1, cf.YProfile(field.grid, np.full(field.grid.n, np.nan)),
-              cf.YProfile.zero(field.grid))
-        return p
+        nan = cf.YProfile(field.grid, np.full(field.grid.n, np.nan))
+        return cf.HarmonicScalar(field.params, field.grid,
+                                 {1: (nan, cf.YProfile.zero(field.grid))})
 
     monkeypatch.setattr(compat, "pressure_rhs", nan_pressure)
     with pytest.raises(cf.NumericalError, match="pressure max-abs nan"):
@@ -403,12 +412,11 @@ def test_check_rejects_overflowing_field(tmp_path, capsys):
     "argv, why",
     [(["example", "--alpha", "1e100"], "non-finite result"),
      (["example", "--reynolds", "1e-320"], "non-finite result"),
-     (["example", "--alpha", "100"], "closed forms of the example overflow"),
      (["example", "--alpha", "1e50"], "closed forms of the example overflow"),
      (["oss", "--alpha", "1e100"], "Orr-Sommerfeld operator is not finite"),
      (["oss", "--reynolds", "1e-320"], "Orr-Sommerfeld operator is not finite")],
-    ids=["example-alpha", "example-reynolds", "example-closed-form-exp",
-         "example-closed-form-power", "oss-alpha", "oss-reynolds"])
+    ids=["example-alpha", "example-reynolds", "example-closed-form-power",
+         "oss-alpha", "oss-reynolds"])
 def test_cli_rejects_overflowing_params(tmp_path, capsys, argv, why):
     # finite parameters whose operators overflow: example ended in an
     # OverflowError traceback or numpy warnings after writing
@@ -463,10 +471,10 @@ def test_validate_reports_violations(tmp_path, capsys):
     # u2 with only a (y^2-1) factor: its wall derivative is nonzero, so the
     # u3 completed from continuity slips at the walls
     g = cf.cheb_grid(32)
-    u2 = cf.HarmonicScalar.zero(PARAMS, g)
-    u2.put(1, cf.YProfile.from_poly(g, [-1.0, 0.0, 1.0]), cf.YProfile.zero(g))
-    field = cf.WaveField(cf.HarmonicScalar.zero(PARAMS, g), u2,
-                         cf.HarmonicScalar.zero(PARAMS, g), PARAMS, g)
+    u2 = cf.HarmonicScalar(PARAMS, g, {1: (cf.YProfile.from_poly(g, [-1.0, 0.0, 1.0]),
+                                          cf.YProfile.zero(g))})
+    zero = cf.HarmonicScalar(PARAMS, g)
+    field = cf.WaveField(zero, u2, zero)
     doc = field_to_dict(field)
     for h in doc["harmonics"]:
         h["u3"] = "continuity"
@@ -530,10 +538,24 @@ def test_find_writes_root_field(tmp_path, capsys):
     rep = json.loads((out / "search_report.json").read_text())
     assert rep["success"] is True
     assert rep["residual_rel"] < 1e-10
+    assert rep["recheck_n"] == 128 and rep["recheck_residual_rel"] < 1e-10
     assert 0.0 <= rep["model_gap_rel"] <= 1e-12
     assert len(rep["trace"]) >= 2
     field = load_field(out / "found_field.json")
     assert cf.check(field, tol_rel=1e-8).verdict == "compatible"
+
+
+def test_find_refuses_a_root_of_a_coarse_grid(tmp_path, capsys):
+    """At n = 12 the search meets its tolerance on its own grid, but the
+    field is not compatible on 128 nodes: find exits 1 and says so."""
+    rc = main(["find", "--n", "12", "--seed", "1", "-o", str(tmp_path)])
+    assert rc == 1
+    stdout = capsys.readouterr().out
+    assert "re-check on 128 nodes: incompatible, residual 3.599e-07 relative" in stdout
+    rep = json.loads((tmp_path / "search_report.json").read_text())
+    assert rep["residual_rel"] <= 1e-10 < rep["recheck_residual_rel"]
+    assert rep["success"] is False and rep["recheck_n"] == 128
+    assert rep["message"] == "converged; the re-check on 128 nodes fails"
 
 
 def test_find_below_degree_4_reports_the_null_space(tmp_path, capsys):

@@ -62,24 +62,23 @@ def test_defect_scales_as_linear_plus_quadratic():
     three scalings determine each other: d(3) = 3 (d(2) - d(1))."""
     rng = np.random.RandomState(24)
     u = random_admissible(PARAMS, G, rng)
-    d1 = cf.divergence_defect(u)
-    d2 = cf.divergence_defect(2.0 * u)
-    d3 = cf.divergence_defect(3.0 * u)
+    d1, d2, d3 = (cf.check(s * u).defect for s in (1.0, 2.0, 3.0))
     pred = 3.0 * (d2 - d1)
     assert (d3 - pred).max_abs() < 1e-9 * max(1.0, d3.max_abs())
 
 
 def test_zero_field_is_compatible():
-    rep = cf.check(cf.WaveField.zero(PARAMS, G))
+    zero = cf.HarmonicScalar(PARAMS, G)
+    rep = cf.check(cf.WaveField(zero, zero, zero))
     assert rep.verdict == "compatible"
     assert rep.defect_rel_max == 0.0
 
 
 def test_check_rejects_inadmissible_input():
-    u2 = cf.HarmonicScalar.zero(PARAMS, G)
-    u2.put(1, cf.YProfile.from_poly(G, [1.0, 1.0]), cf.YProfile.zero(G))
-    bad = cf.WaveField(cf.HarmonicScalar.zero(PARAMS, G), u2,
-                       cf.HarmonicScalar.zero(PARAMS, G), PARAMS, G)
+    zero = cf.HarmonicScalar(PARAMS, G)
+    u2 = cf.HarmonicScalar(PARAMS, G, {1: (cf.YProfile.from_poly(G, [1.0, 1.0]),
+                                           cf.YProfile.zero(G))})
+    bad = cf.WaveField(zero, u2, zero)
     with pytest.raises(cf.ValidationError):
         cf.check(bad)
 
@@ -92,8 +91,8 @@ def test_check_raises_on_nan_profile():
     # guard in check must hold for a profile that arrives by any route
     u1, u2, u3 = cf.example_field(PARAMS, G).strip_poly().components
     a, b = u2.get(1)
-    u2.put(1, cf.YProfile(G, np.full(G.n, np.nan)), b)
-    field = cf.WaveField(u1, u2, u3, PARAMS, G)
+    u2 = cf.HarmonicScalar(PARAMS, G, {1: (cf.YProfile(G, np.full(G.n, np.nan)), b)})
+    field = cf.WaveField(u1, u2, u3)
     assert np.isnan(field.max_abs())
     with pytest.raises(cf.NumericalError, match="non-finite"):
         cf.check(field)
@@ -132,12 +131,12 @@ def test_tangential_residual_covers_both_walls():
 
 
 def test_vorticity_rhs_warns_on_divergent_input():
-    u2 = cf.HarmonicScalar.zero(PARAMS, G)
     wall2 = np.array([1.0, 0.0, -2.0, 0.0, 1.0])
-    u2.put(1, cf.YProfile.from_poly(G, wall2), cf.YProfile.zero(G))
+    u2 = cf.HarmonicScalar(PARAMS, G, {1: (cf.YProfile.from_poly(G, wall2),
+                                           cf.YProfile.zero(G))})
     # no u1/u3 to balance continuity: divergence is order one
-    bad = cf.WaveField(cf.HarmonicScalar.zero(PARAMS, G), u2,
-                       cf.HarmonicScalar.zero(PARAMS, G), PARAMS, G)
+    zero = cf.HarmonicScalar(PARAMS, G)
+    bad = cf.WaveField(zero, u2, zero)
     with pytest.warns(UserWarning):
         cf.vorticity_rhs(bad)
 
@@ -147,10 +146,9 @@ def test_check_warns_once_on_slightly_divergent_input():
     # both the admissibility check and vorticity_rhs, reported once
     rng = np.random.RandomState(18)
     u = random_admissible(PARAMS, G, rng)
-    bump = cf.HarmonicScalar.zero(PARAMS, G)
-    bump.put(1, cf.YProfile.from_poly(G, 1e-6 * np.array([-1.0, 0.0, 1.0])),
-             cf.YProfile.zero(G))
-    dirty = cf.WaveField(u.u1 + bump, u.u2, u.u3, PARAMS, G)
+    bump = cf.HarmonicScalar(PARAMS, G, {1: (
+        cf.YProfile.from_poly(G, 1e-6 * np.array([-1.0, 0.0, 1.0])), cf.YProfile.zero(G))})
+    dirty = cf.WaveField(u.u1 + bump, u.u2, u.u3)
     rel = cf.divergence(dirty).max_abs() / dirty.max_abs()
     assert 1e-8 < rel < 1e-4
     with warnings.catch_warnings(record=True) as caught:
@@ -176,10 +174,30 @@ def test_defect_ignores_squire_part_of_single_harmonic_field():
                for a, f, s in zip(amp, freq, phase)]
         squire = cf.HarmonicScalar(params, G, {j: tuple(phi)})
         moved = cf.WaveField(u.u1 + params.beta * squire, u.u2,
-                             u.u3 + (-params.alpha) * squire, params, G)
+                             u.u3 + (-params.alpha) * squire)
         base, rep = cf.check(u), cf.check(moved)
         assert (rep.defect - base.defect).max_abs() <= 1e-11 * base.forcing_max_abs
         assert base.defect.max_abs() > 1e-3 * base.forcing_max_abs
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("sampled", [False, True], ids=["poly", "sampled"])
+@pytest.mark.parametrize("family", ["admissible", "u2zero"])
+def test_harmonic_zero_defect_is_exactly_zero(family, sampled, n):
+    """The wall-normal forcing f2 = -(dz R1 - dx R3) has no y-derivative,
+    so its harmonic 0, and with it the defect's, is exactly 0.0 for every
+    field, mean modes included: not rounding, but a zero."""
+    rng = np.random.default_rng([n, sampled, family == "u2zero"])
+    grid = cf.cheb_grid(n)
+    draw = random_admissible if family == "admissible" else random_u2zero
+    for _ in range(30):
+        params = cf.FlowParams(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5),
+                               np.exp(rng.uniform(np.log(50.0), np.log(5000.0))))
+        harmonics = (0,) + tuple(range(1, int(rng.integers(1, 4)) + 1))
+        u = draw(params, grid, rng, harmonics=harmonics)
+        rep = cf.check(u.strip_poly() if sampled else u)
+        assert not rep.forcing.u2.block.values[:, 0].any()
+        assert not rep.defect.block.values[:, 0].any()
 
 
 class TestZeroWallNormalFamily:
@@ -249,8 +267,8 @@ def _reference_forcing(field):
     """The forcing assembled one component and one product at a time."""
     params = field.params
     w = cf.curl(field)
-    gu = [cf.gradient(c) for c in field.components]
-    gw = [cf.gradient(c) for c in w.components]
+    gu = [(c.dx(), c.dy(), c.dz()) for c in field.components]
+    gw = [(c.dx(), c.dy(), c.dz()) for c in w.components]
     rhs = []
     for i in range(3):
         acc = (1.0 / params.reynolds) * w.components[i].laplacian()
@@ -258,7 +276,7 @@ def _reference_forcing(field):
             acc = acc - field.components[m] * gw[i][m]
             acc = acc + w.components[m] * gu[i][m]
         rhs.append(acc)
-    return (-1.0) * cf.curl(cf.WaveField(*rhs, params, field.grid))
+    return (-1.0) * cf.curl(cf.WaveField(*rhs))
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])
@@ -323,9 +341,10 @@ def test_wall_moments_match_the_boundary_value_solves(family, sampled, n):
     u = _draw(family, params, grid, rng)
     if sampled:
         u = u.strip_poly()
-    fscale = cf.forcing(u).max_abs()
-    solved = cf.divergence(cf.dudt(u))
-    assert (cf.divergence_defect(u) - solved).max_abs() <= 1e-12 * fscale
+    rep = cf.check(u)
+    fscale = rep.forcing_max_abs
+    solved = cf.divergence(cf.solve_dudt(rep.forcing))
+    assert (rep.defect - solved).max_abs() <= 1e-12 * fscale
 
     def walls(h):
         return np.stack([h.block.top, h.block.bottom])
@@ -339,7 +358,7 @@ def test_wall_moments_match_the_boundary_value_solves(family, sampled, n):
     close(compat._wall_pressure(u, u.stacked.laplacian()), walls(want))
     visc = [(1.0 / params.reynolds) * c.laplacian() for c in (u.u1, u.u3)]
     tangential = [walls(v - dp) for v, dp in zip(visc, (want.dx(), want.dz()))]
-    close(cf.check(u).tangential, np.stack(tangential, axis=1))
+    close(rep.tangential, np.stack(tangential, axis=1))
 
     vals = solved.block.values
     top, bottom = vals[..., :1], vals[..., -1:]
@@ -355,14 +374,14 @@ def test_wall_moments_match_the_boundary_value_solves(family, sampled, n):
 def _shifted(field, phi):
     """The field with x = 0 moved so that theta becomes theta + phi: each
     harmonic's (cos, sin) pair rotated through j phi."""
-    comps = []
-    for comp in field.components:
-        out = cf.HarmonicScalar.zero(field.params, field.grid)
+    def rotated(comp):
+        out = {}
         for j, (a, b) in comp.items():
             c, s = np.cos(j * phi), np.sin(j * phi)
-            out.put(j, a * c + b * s, b * c - a * s)
-        comps.append(out)
-    return cf.WaveField(*comps, field.params, field.grid)
+            out[j] = (a * c + b * s, b * c - a * s)
+        return cf.HarmonicScalar(field.params, field.grid, out)
+
+    return cf.WaveField(*map(rotated, field.components))
 
 
 @pytest.mark.parametrize("sampled", [False, True])

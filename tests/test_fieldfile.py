@@ -47,8 +47,8 @@ def test_written_polynomials_keep_their_own_length(tmp_path):
         1: (prof(G, [-1.0, 0.0, 1.0]), cf.YProfile.zero(G)),
         2: (prof(G, [-1.0, 0.5, 1.0, -0.5, 0.25]), cf.YProfile.zero(G)),
     })
-    zero = cf.HarmonicScalar.zero(PARAMS, G)
-    field = cf.WaveField(u1, zero, zero, PARAMS, G)
+    zero = cf.HarmonicScalar(PARAMS, G)
+    field = cf.WaveField(u1, zero, zero)
     doc = field_to_dict(field)
     assert doc["harmonics"][0]["u1"]["cos"]["poly"] == [-1.0, 0.0, 1.0]
     assert doc["harmonics"][1]["u1"]["cos"]["poly"] == [-1.0, 0.5, 1.0, -0.5, 0.25]
@@ -60,10 +60,9 @@ def test_written_polynomials_keep_their_own_length(tmp_path):
 def test_zero_u3_survives_round_trip(tmp_path):
     # an absent u3 means "complete from continuity", which is not the same
     # as a u3 that is genuinely zero, so the writer must emit it
-    u1 = cf.HarmonicScalar.zero(PARAMS, G)
-    u1.put(1, prof(G, [-1.0, 0.0, 1.0]), cf.YProfile.zero(G))
-    field = cf.WaveField(u1, cf.HarmonicScalar.zero(PARAMS, G),
-                         cf.HarmonicScalar.zero(PARAMS, G), PARAMS, G)
+    u1 = cf.HarmonicScalar(PARAMS, G, {1: (prof(G, [-1.0, 0.0, 1.0]), cf.YProfile.zero(G))})
+    zero = cf.HarmonicScalar(PARAMS, G)
+    field = cf.WaveField(u1, zero, zero)
     doc = field_to_dict(field)
     assert "u3" in doc["harmonics"][0]
     path = tmp_path / "f.json"
@@ -79,10 +78,10 @@ def test_save_refuses_a_nan_sample(tmp_path):
     vals = np.zeros(G.n)
     vals[5] = np.nan
     u1 = cf.HarmonicScalar(PARAMS, G, {1: (cf.YProfile(G, vals), cf.YProfile.zero(G))})
-    zero = cf.HarmonicScalar.zero(PARAMS, G)
+    zero = cf.HarmonicScalar(PARAMS, G)
     path = tmp_path / "f.json"
     with pytest.raises(ValueError):
-        save_field(cf.WaveField(u1, zero, zero, PARAMS, G), path)
+        save_field(cf.WaveField(u1, zero, zero), path)
     assert not path.exists()
 
 

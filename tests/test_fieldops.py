@@ -31,31 +31,58 @@ def test_wavenumbers_need_a_finite_k2(alpha, beta):
         cf.FlowParams(alpha, beta, 80.0)
 
 
-def test_put_rejects_negative_harmonic():
-    f = cf.HarmonicScalar.zero(PARAMS, GRID)
+def test_constructor_rejects_negative_harmonic():
+    zero = cf.YProfile.zero(GRID)
     with pytest.raises(cf.ConfigurationError):
-        f.put(-1, cf.YProfile.zero(GRID), cf.YProfile.zero(GRID))
+        cf.HarmonicScalar(PARAMS, GRID, {-1: (zero, zero)})
 
 
-def test_put_rejects_grid_mismatch():
-    f = cf.HarmonicScalar.zero(PARAMS, GRID)
+def test_constructor_rejects_grid_mismatch():
     other = cf.cheb_grid(16)
     with pytest.raises(cf.ConfigurationError):
-        f.put(1, cf.YProfile.zero(other), cf.YProfile.zero(other))
+        cf.HarmonicScalar(PARAMS, GRID, {1: (cf.YProfile.zero(other), cf.YProfile.zero(other))})
 
 
 def test_mean_mode_sine_slot_is_zeroed():
-    f = cf.HarmonicScalar.zero(PARAMS, GRID)
-    f.put(0, prof(GRID, [1.0]), prof(GRID, [1.0]))
+    f = cf.HarmonicScalar(PARAMS, GRID, {0: (prof(GRID, [1.0]), prof(GRID, [1.0]))})
     a, b = f.get(0)
     assert not a.is_zero()
     assert b.is_zero()
 
 
 def test_zero_pair_is_dropped():
-    f = cf.HarmonicScalar.zero(PARAMS, GRID)
-    f.put(2, cf.YProfile.zero(GRID), cf.YProfile.zero(GRID))
-    assert f.harmonics() == []
+    zero = cf.YProfile.zero(GRID)
+    assert cf.HarmonicScalar(PARAMS, GRID, {2: (zero, zero)}).harmonics() == []
+
+
+def test_field_rejects_mismatched_components():
+    f = random_scalar(PARAMS, GRID, np.random.RandomState(2))
+    other = random_scalar(cf.FlowParams(2.0, 0.7, 50.0), GRID, np.random.RandomState(2))
+    coarse = random_scalar(PARAMS, cf.cheb_grid(16), np.random.RandomState(2))
+    for bad in (other, coarse):
+        with pytest.raises(cf.ConfigurationError):
+            cf.WaveField(f, bad, f)
+    u = cf.WaveField(f, f, f)
+    assert u.params is PARAMS and u.grid is GRID
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["poly", "sampled"])
+def test_operations_leave_their_operands_unchanged(sampled):
+    """A scalar is never changed in place, so a field can keep its
+    gradient: every operation returns a new block."""
+    rng = np.random.RandomState(4)
+    f, g = (random_scalar(PARAMS, GRID, rng) for _ in range(2))
+    if sampled:
+        f, g = f.strip_poly(), g.strip_poly()
+    before = [h.block.data.copy() for h in (f, g)]
+    for h in (f + g, f - g, -f, 2.0 * f, f * g, f.dx(), f.dy(), f.dz(),
+              f.laplacian(), f.strip_poly()):
+        h.block.data[...] = np.nan
+    u = cf.WaveField(f, g, f)
+    for h in (u.gradient, cf.curl(u).stacked, cf.divergence(u), (2.0 * u).stacked):
+        h.block.data[...] = np.nan
+    for h, want in zip((f, g), before):
+        assert np.array_equal(h.block.data, want)
 
 
 def test_params_mismatch_raises_on_add():
@@ -190,8 +217,7 @@ class TestHarmonicProduct:
         assert rel_diff(f * (g + h), f * g + f * h) < 1e-13
 
     def test_unit_scalar_is_identity(self):
-        one = cf.HarmonicScalar.zero(PARAMS, GRID)
-        one.put(0, prof(GRID, [1.0]), cf.YProfile.zero(GRID))
+        one = cf.HarmonicScalar(PARAMS, GRID, {0: (prof(GRID, [1.0]), cf.YProfile.zero(GRID))})
         f = random_scalar(PARAMS, GRID, np.random.RandomState(10))
         assert rel_diff(one * f, f) < 1e-14
 
@@ -230,8 +256,7 @@ class TestHarmonicSet:
     def test_mean_mode_sine_slot_stays_positive_zero(self):
         # dx of a positive mean profile computes -0 * a; the slot is reset
         # to +0.0 so that written files read 0.0, not -0.0
-        f = cf.HarmonicScalar.zero(PARAMS, GRID)
-        f.put(0, prof(GRID, [2.0, 1.0]), cf.YProfile.zero(GRID))
+        f = cf.HarmonicScalar(PARAMS, GRID, {0: (prof(GRID, [2.0, 1.0]), cf.YProfile.zero(GRID))})
         for h in (f.dx(), f.dz(), -1.0 * f.dx(), f * f):
             b = h.get(0)[1]
             assert b.is_zero() and not np.signbit(b.values).any()
@@ -251,7 +276,7 @@ class TestHarmonicSet:
     def test_one_sampled_profile_drops_the_coefficients(self):
         f = random_scalar(PARAMS, GRID, np.random.RandomState(34), harmonics=(1, 2))
         a, b = f.get(2)
-        f.put(2, a.strip_poly(), b)
+        f = cf.HarmonicScalar(PARAMS, GRID, {**dict(f.items()), 2: (a.strip_poly(), b)})
         assert all(p.poly is None for _, pair in f.items() for p in pair)
         assert f.harmonics() == [1, 2]
 
@@ -305,8 +330,7 @@ def test_curl_of_gradient_vanishes():
     rng = np.random.RandomState(14)
     for _ in range(5):
         f = random_scalar(PARAMS, GRID, rng)
-        gx, gy, gz = cf.gradient(f)
-        g = cf.WaveField(gx, gy, gz, PARAMS, GRID)
+        g = cf.WaveField(f.dx(), f.dy(), f.dz())
         assert cf.curl(g).max_abs() < 1e-11 * max(1.0, f.max_abs())
 
 
@@ -316,7 +340,8 @@ def test_curl_curl_identity():
     for _ in range(5):
         u = random_vector(PARAMS, GRID, rng)
         lhs = cf.curl(cf.curl(u))
-        grads = cf.gradient(cf.divergence(u))
+        div = cf.divergence(u)
+        grads = (div.dx(), div.dy(), div.dz())
         for i, (l, g) in enumerate(zip(lhs.components, grads)):
             r = g - u.components[i].laplacian()
             assert rel_diff(l, r) < 1e-11
@@ -349,7 +374,7 @@ def test_block_curl_and_divergence_match_per_component_formulas(sampled, rows):
     u3 = _row_scalar(rng, (2,), 2, rows)
     if sampled:
         u1, u2, u3 = (c.strip_poly() for c in (u1, u2, u3))
-    field = cf.WaveField(u1, u2, u3, PARAMS, GRID)
+    field = cf.WaveField(u1, u2, u3)
     got = [*cf.curl(field).components, cf.divergence(field)]
     want = [u3.dy() - u2.dz(), u1.dz() - u3.dx(), u2.dx() - u1.dy(),
             u1.dx() + u2.dy() + u3.dz()]
@@ -393,74 +418,52 @@ def test_divergence_and_curl_read_the_one_gradient(name):
         assert np.array_equal(got.block.data, ref.block.data)
 
 
+def _cos1(coeffs):
+    """The scalar coeffs(y) cos(theta)."""
+    return cf.HarmonicScalar(PARAMS, GRID, {1: (prof(GRID, coeffs), cf.YProfile.zero(GRID))})
+
+
+ZERO = cf.HarmonicScalar(PARAMS, GRID)
+
+
 def test_l2_volume_mean_convention():
-    one = cf.HarmonicScalar.zero(PARAMS, GRID)
-    one.put(0, prof(GRID, [1.0]), cf.YProfile.zero(GRID))
+    one = cf.HarmonicScalar(PARAMS, GRID, {0: (prof(GRID, [1.0]), cf.YProfile.zero(GRID))})
     assert one.l2() == pytest.approx(1.0, abs=1e-13)
-
-    cos1 = cf.HarmonicScalar.zero(PARAMS, GRID)
-    cos1.put(1, prof(GRID, [1.0]), cf.YProfile.zero(GRID))
-    assert cos1.l2() == pytest.approx(1 / np.sqrt(2), abs=1e-13)
-
-    lin = cf.HarmonicScalar.zero(PARAMS, GRID)
-    lin.put(0, prof(GRID, [0.0, 1.0]), cf.YProfile.zero(GRID))
+    assert _cos1([1.0]).l2() == pytest.approx(1 / np.sqrt(2), abs=1e-13)
+    lin = cf.HarmonicScalar(PARAMS, GRID, {0: (prof(GRID, [0.0, 1.0]), cf.YProfile.zero(GRID))})
     assert lin.l2() == pytest.approx(1 / np.sqrt(3), abs=1e-13)
 
 
 def test_field_l2_adds_in_quadrature():
-    a = cf.HarmonicScalar.zero(PARAMS, GRID)
-    a.put(1, prof(GRID, [1.0]), cf.YProfile.zero(GRID))
-    u = cf.WaveField(a, a, cf.HarmonicScalar.zero(PARAMS, GRID), PARAMS, GRID)
-    assert u.l2() == pytest.approx(1.0, abs=1e-13)
+    a = _cos1([1.0])
+    assert cf.WaveField(a, a, ZERO).l2() == pytest.approx(1.0, abs=1e-13)
 
 
 def test_admissibility_flags_wall_slip():
-    f = cf.HarmonicScalar.zero(PARAMS, GRID)
-    f.put(1, prof(GRID, [1.0]), cf.YProfile.zero(GRID))
-    u = cf.WaveField(f, cf.HarmonicScalar.zero(PARAMS, GRID),
-                     cf.HarmonicScalar.zero(PARAMS, GRID), PARAMS, GRID)
-    out = cf.admissibility_violations(u)
+    out = cf.admissibility_violations(cf.WaveField(_cos1([1.0]), ZERO, ZERO))
     assert any("u1" in v and "no-slip" in v for v in out)
 
 
 def test_admissibility_flags_divergence():
     # a lone generic u2 profile has nonzero divergence (and wall slip)
-    u2 = cf.HarmonicScalar.zero(PARAMS, GRID)
-    u2.put(1, prof(GRID, [0.3, 1.0, 0.4]), cf.YProfile.zero(GRID))
-    u = cf.WaveField(cf.HarmonicScalar.zero(PARAMS, GRID), u2,
-                     cf.HarmonicScalar.zero(PARAMS, GRID), PARAMS, GRID)
-    out = cf.admissibility_violations(u)
+    out = cf.admissibility_violations(cf.WaveField(ZERO, _cos1([0.3, 1.0, 0.4]), ZERO))
     assert any("divergence-free violated" in v for v in out)
 
 
 def test_admissibility_warning_band():
     rng = np.random.RandomState(18)
     u = random_admissible(PARAMS, GRID, rng)
-    bump = cf.HarmonicScalar.zero(PARAMS, GRID)
-    bump.put(1, prof(GRID, 1e-6 * np.array([-1.0, 0.0, 1.0])), cf.YProfile.zero(GRID))
-    dirty = cf.WaveField(u.u1 + bump, u.u2, u.u3, PARAMS, GRID)
+    bump = _cos1(1e-6 * np.array([-1.0, 0.0, 1.0]))
+    dirty = cf.WaveField(u.u1 + bump, u.u2, u.u3)
     with pytest.warns(UserWarning, match="divergence"):
         out = cf.admissibility_violations(dirty)
     assert out == []
 
 
 def test_require_admissible_raises_with_details():
-    f = cf.HarmonicScalar.zero(PARAMS, GRID)
-    f.put(1, prof(GRID, [1.0]), cf.YProfile.zero(GRID))
-    u = cf.WaveField(f, cf.HarmonicScalar.zero(PARAMS, GRID),
-                     cf.HarmonicScalar.zero(PARAMS, GRID), PARAMS, GRID)
     with pytest.raises(cf.ValidationError, match="no-slip"):
-        cf.require_admissible(u)
+        cf.require_admissible(cf.WaveField(_cos1([1.0]), ZERO, ZERO))
 
 
 def test_zero_field_is_admissible():
-    u = cf.WaveField.zero(PARAMS, GRID)
-    assert cf.admissibility_violations(u) == []
-
-
-def test_eval_field_returns_component_tuple():
-    rng = np.random.RandomState(19)
-    u = random_vector(PARAMS, GRID, rng)
-    v1, v2, v3 = cf.eval_field(u, 0.1, 0.2, 0.3)
-    assert v1 == pytest.approx(u.u1.evaluate(0.1, 0.2, 0.3))
-    assert v3 == pytest.approx(u.u3.evaluate(0.1, 0.2, 0.3))
+    assert cf.admissibility_violations(cf.WaveField(ZERO, ZERO, ZERO)) == []

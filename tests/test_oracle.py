@@ -7,7 +7,6 @@ strongest correctness evidence this package has, so the tolerances here
 are kept near rounding level.
 """
 
-import numpy as np
 import pytest
 
 import compatflow as cf
@@ -44,7 +43,7 @@ def test_forcing_closed_form(triple):
 @pytest.mark.parametrize("triple", TRIPLES)
 def test_dudt_closed_form(triple):
     p = cf.FlowParams(*triple)
-    got = cf.dudt(cf.example_field(p, G))
+    got = cf.solve_dudt(cf.forcing(cf.example_field(p, G)))
     want = cf.example_dudt(p, G)
     assert (got - want).max_abs() < 1e-11 * want.max_abs()
 
@@ -52,7 +51,7 @@ def test_dudt_closed_form(triple):
 @pytest.mark.parametrize("triple", TRIPLES)
 def test_divergence_defect_closed_form(triple):
     p = cf.FlowParams(*triple)
-    got = cf.divergence_defect(cf.example_field(p, G))
+    got = cf.check(cf.example_field(p, G)).defect
     want = cf.example_div_coeffs(p, G)
     assert got.harmonics() == want.harmonics()
     assert (got - want).max_abs() < 1e-11 * want.max_abs()
@@ -111,13 +110,14 @@ def test_sampled_profile_path():
     noise back out."""
     p = cf.FlowParams(1.0, 1.0, 80.0)
     field = cf.example_field(p, G).strip_poly()
-    f = cf.forcing(field)
+    rep = cf.check(field)
+    f = rep.forcing
     fw = cf.example_forcing(p, G)
     assert (f - fw).max_abs() < 1e-7 * fw.max_abs()
-    d = cf.dudt(field)
+    d = cf.solve_dudt(f)
     dw = cf.example_dudt(p, G)
     assert (d - dw).max_abs() < 1e-10 * dw.max_abs()
-    defect = cf.divergence_defect(field)
+    defect = rep.defect
     want = cf.example_div_coeffs(p, G)
     assert (defect - want).max_abs() < 1e-10 * want.max_abs()
 

@@ -23,11 +23,10 @@ PUBLIC = [
     "ModeResult", "NumericalError", "SearchResult", "ValidationError",
     "WaveField", "YProfile", "__version__", "admissibility_violations",
     "assemble", "cheb_grid", "check", "curl", "divergence",
-    "divergence_defect", "dudt", "eval_field", "example_cc_coeffs",
-    "example_div_coeffs", "example_dudt", "example_field", "example_forcing",
-    "example_vorticity", "find_compatible", "forcing", "gradient",
+    "example_cc_coeffs", "example_div_coeffs", "example_dudt", "example_field",
+    "example_forcing", "example_vorticity", "find_compatible", "forcing",
     "harmonic_product", "load_field", "mode_to_field", "poiseuille_base",
-    "require_admissible", "residual", "save_field", "solve_bvp", "solve_dudt",
+    "require_admissible", "save_field", "solve_bvp", "solve_dudt",
     "solve_orr_sommerfeld", "solve_pressure", "tangential_residual",
     "vorticity_rhs",
 ]

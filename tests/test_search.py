@@ -16,7 +16,6 @@ from compatflow.search import (
     _QuadraticModel,
     assemble,
     find_compatible,
-    residual,
 )
 
 PARAMS = cf.FlowParams(1.0, 1.0, 80.0)
@@ -55,21 +54,21 @@ def test_assembled_fields_are_admissible():
 
 def test_defect_has_no_mean_mode():
     u = assemble(SPEC, REFERENCE_COEFFS)
-    defect = cf.divergence_defect(u)
+    defect = cf.check(u).defect
     assert 0 not in defect.harmonics()
     assert set(defect.harmonics()) <= {1, 2}
 
 
 def test_residual_samples_cover_the_unknowns():
-    r = residual(SPEC, REFERENCE_COEFFS)
+    r, f = _defect_samples(assemble(SPEC, REFERENCE_COEFFS, G))
     assert r.ndim == 1
     assert r.size == 8
     assert np.all(np.isfinite(r))
     # the wall values of the Dirichlet-solved defect, ordered (j, slot, wall)
     u = assemble(SPEC, REFERENCE_COEFFS, G)
-    d = cf.divergence(cf.dudt(u))
+    d = cf.divergence(cf.solve_dudt(f))
     want = [p.values[wall] for j in (1, 2) for p in d.get(j) for wall in (0, -1)]
-    assert np.max(np.abs(r - want)) <= 1e-12 * cf.forcing(u).max_abs()
+    assert np.max(np.abs(r - want)) <= 1e-12 * f.max_abs()
 
 
 def test_quadratic_model_reproduces_residual():
@@ -79,7 +78,7 @@ def test_quadratic_model_reproduces_residual():
     rng = np.random.RandomState(32)
     for _ in range(3):
         c = rng.uniform(-1.5, 1.5, SPEC.ncoeffs)
-        r_true = residual(SPEC, c)
+        r_true, _ = _defect_samples(assemble(SPEC, c, G))
         err = np.max(np.abs(model(c) - r_true))
         assert err < 1e-9 * max(1.0, np.max(np.abs(r_true)))
 
@@ -115,7 +114,7 @@ def test_quadratic_model_matches_scalar_polarization():
     evaluated one probe at a time over the u2 coordinates: every diagonal
     entry and 10 pairs."""
     model = _QuadraticModel(SPEC, G)
-    ev = lambda c: residual(SPEC, c, G)
+    ev = lambda c: _defect_samples(assemble(SPEC, c, G))[0]
     eye = np.eye(SPEC.ncoeffs)[model.u2]
     k = len(eye)
     rp = np.array([ev(e) for e in eye])
@@ -169,11 +168,11 @@ def test_u1_slots_do_not_move_the_defect():
         grid = cf.cheb_grid(n)
         k1 = 2 * (spec.degree + 1)
         c = rng.uniform(-1, 1, spec.ncoeffs)
-        r = residual(spec, c, grid)
+        r, _ = _defect_samples(assemble(spec, c, grid))
         for _ in range(2):
             moved = c.copy()
             moved[:k1] = rng.uniform(-2, 2, k1)
-            diff = np.max(np.abs(residual(spec, moved, grid) - r))
+            diff = np.max(np.abs(_defect_samples(assemble(spec, moved, grid))[0] - r))
             assert diff <= 1e-11 * np.max(np.abs(r))
 
 
@@ -300,11 +299,11 @@ def test_model_splits_into_linear_and_quadratic_harmonics(degree, params):
     harmonic-2 rows (4-7) s^2 times, u1 included. The search model holds
     L1 and B2 alone on this."""
     spec = AnsatzSpec(params=params, degree=degree)
-    assert not residual(spec, np.zeros(spec.ncoeffs), G).any()
+    assert not _defect_samples(assemble(spec, np.zeros(spec.ncoeffs), G))[0].any()
     rng = np.random.RandomState(37)
     for _ in range(3):
         c = rng.uniform(-1, 1, spec.ncoeffs)
-        r = residual(spec, c, G)
+        r, _ = _defect_samples(assemble(spec, c, G))
         for s in (-3.0, 0.5, 7.0):
             rs, f = _defect_samples(assemble(spec, s * c, G))
             assert np.max(np.abs(rs[:4] - s * r[:4])) <= 1e-13 * f.max_abs()
