@@ -25,7 +25,7 @@ import numpy as np
 # check and validate need only these; example, oss and find import the
 # oracle, the eigensolver and the search when they run
 from . import __version__
-from .compat import _report_head, check
+from .compat import DEFAULT_TOL_REL, _report_head, check
 from .errors import CompatflowError, ConfigurationError, NumericalError
 from .fieldfile import _write_json, load_field, save_field
 from .fieldops import FlowParams, WaveField, admissibility_violations
@@ -171,8 +171,8 @@ def cmd_example(args) -> int:
     # refuses a non-finite forcing before anything is written
     fnum = field.strip_poly()
     report = check(fnum)
-    # the closed forms overflow on a Python float power from about alpha =
-    # 1e50: they are compared quietly and a non-finite one reported once
+    # the coefficients of example_forcing overflow from about alpha =
+    # 8.2e76: they are compared quietly and a non-finite one reported once
     blocks = None
     with np.errstate(all="ignore"), contextlib.suppress(OverflowError, ConfigurationError):
         blocks = _example_discrepancies(fnum, report)
@@ -246,13 +246,12 @@ def cmd_oss(args) -> int:
 
 
 def cmd_find(args) -> int:
-    from .search import AnsatzSpec, assemble, find_compatible
+    from .search import DEFAULT_TOL, AnsatzSpec, assemble, find_compatible
 
     params = _params_from(args)
     spec = AnsatzSpec(params=params, degree=args.degree)
-    result = find_compatible(
-        spec, seed=args.seed, grid=cheb_grid(args.n), tol=args.tol
-    )
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    result = find_compatible(spec, seed=args.seed, grid=cheb_grid(args.n), tol=tol)
     print(
         f"{result.message}: residual {result.residual_rel:.3e} relative after "
         f"{result.iterations} iterations ({result.restarts} restarts); "
@@ -261,7 +260,7 @@ def cmd_find(args) -> int:
     # a coarse grid can hold a root that the field does not: the root
     # counts only if check() also passes it on a finer grid
     fine = cheb_grid(max(2 * args.n, 128))
-    recheck = check(assemble(spec, result.coeffs, fine), tol_rel=args.tol)
+    recheck = check(assemble(spec, result.coeffs, fine), tol_rel=tol)
     success = result.success and recheck.verdict == "compatible"
     print(f"re-check on {fine.n} nodes: {recheck.verdict}, residual "
           f"{recheck.defect_rel_max:.3e} relative")
@@ -313,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="compatibility diagnostic on a field file")
     p.add_argument("input", help="field file (JSON)")
-    p.add_argument("--tol", type=float, default=1e-7, help="relative verdict tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL_REL,
+                   help="relative verdict tolerance")
     common(p, with_params=False)
     p.set_defaults(fn=cmd_check)
 
@@ -337,7 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, with_params=True)
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10, help="relative success tolerance")
+    # unset here, so that check and validate need not load the search
+    p.add_argument("--tol", type=float,
+                   help="relative success tolerance (default search.DEFAULT_TOL)")
     p.set_defaults(fn=cmd_find)
 
     return parser

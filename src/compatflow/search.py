@@ -66,6 +66,8 @@ from .spectral import ChebGrid, YProfile, cheb_grid, polymul
 
 RESIDUAL_HARMONICS = (1, 2)
 NONTRIVIAL_RTOL = 1e-3
+# the max-abs defect of a root, relative to the forcing's (find --tol)
+DEFAULT_TOL = 1e-10
 # probe rows per pipeline evaluation while building the quadratic model
 PROBE_BLOCK = 80
 # Gauss-Newton steps per start, and fresh draws after the first start
@@ -221,7 +223,7 @@ def find_compatible(
     seed: int | None = 0,
     x0=None,
     grid: ChebGrid | None = None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> SearchResult:
     """Gauss-Newton search for a nontrivial root of the defect map.
 

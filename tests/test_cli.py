@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, emitted files, determinism."""
 
 import importlib
+import inspect
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 
 import compatflow as cf
 from compatflow import compat
-from compatflow.cli import _write_csv, _write_json, main
+from compatflow.cli import _build_parser, _write_csv, _write_json, main
 from compatflow.fieldfile import field_to_dict, load_field, save_field
 from helpers import count_calls, random_u2zero
 
@@ -253,6 +254,24 @@ def test_check_rejects_bad_tolerance(example_file, tmp_path, capsys, tol):
     assert not out.exists()
 
 
+def test_tolerance_defaults_are_the_library_constants(tmp_path, monkeypatch):
+    from compatflow import search
+
+    assert _build_parser().parse_args(["check", "f.json"]).tol == compat.DEFAULT_TOL_REL
+    assert inspect.signature(search.find_compatible).parameters["tol"].default == search.DEFAULT_TOL
+    # find leaves --tol unset in the parser, so that check need not load
+    # the search, and reads the constant when it runs
+    seen = []
+
+    def stop(spec, tol, **kwargs):
+        seen.append(tol)
+        raise cf.NumericalError("stopped")
+
+    monkeypatch.setattr(search, "find_compatible", stop)
+    assert main(["find", "-o", str(tmp_path)]) == 1
+    assert seen == [search.DEFAULT_TOL]
+
+
 def test_find_rejects_non_finite_tolerance(tmp_path, capsys):
     rc = main(["find", "--tol", "nan", "-o", str(tmp_path)])
     assert rc == 1
@@ -412,7 +431,7 @@ def test_check_rejects_overflowing_field(tmp_path, capsys):
     "argv, why",
     [(["example", "--alpha", "1e100"], "non-finite result"),
      (["example", "--reynolds", "1e-320"], "non-finite result"),
-     (["example", "--alpha", "1e50"], "closed forms of the example overflow"),
+     (["example", "--alpha", "1e77"], "closed forms of the example overflow"),
      (["oss", "--alpha", "1e100"], "Orr-Sommerfeld operator is not finite"),
      (["oss", "--reynolds", "1e-320"], "Orr-Sommerfeld operator is not finite")],
     ids=["example-alpha", "example-reynolds", "example-closed-form-power",

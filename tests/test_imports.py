@@ -36,3 +36,40 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b as c\nimport x.y\nx.y.z\n") == [
         "line 1: os", "line 2: c"]
+
+
+def package_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) of every name a module imports from the package,
+    module relative to it ("" for the package itself, name "*" for a plain
+    import)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.startswith("compatflow")):
+            module = (node.module or "").removeprefix("compatflow").lstrip(".")
+            out += [(module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            out += [(alias.name.removeprefix("compatflow").lstrip("."), "*")
+                    for alias in node.names if alias.name.split(".")[0] == "compatflow"]
+    return out
+
+
+def test_the_oracle_shares_no_operator_with_the_pipeline():
+    """The reference takes only the field and profile types and the error
+    classes from the package: no stage of compat, poisson, search or
+    modes, and no fieldops operator."""
+    from compatflow import errors
+
+    allowed = {("fieldops", "FlowParams"), ("fieldops", "HarmonicScalar"),
+               ("fieldops", "WaveField"), ("spectral", "ChebGrid"), ("spectral", "YProfile")}
+    allowed |= {("errors", n) for n, v in vars(errors).items()
+                if isinstance(v, type) and issubclass(v, Exception)}
+    got = package_imports((ROOT / "src" / "compatflow" / "oracle.py").read_text())
+    assert got and set(got) <= allowed, set(got) - allowed
+
+
+def test_the_guard_sees_a_pipeline_import():
+    assert package_imports(
+        "import numpy\nfrom .fieldops import curl\nfrom . import compat\n"
+        "import compatflow.poisson\nfrom compatflow.spectral import YProfile\n") == [
+        ("fieldops", "curl"), ("", "compat"), ("poisson", "*"), ("spectral", "YProfile")]

@@ -1,17 +1,24 @@
-"""Closed-form reference solutions against the generic pipeline.
+"""Exact reference solutions against the generic pipeline.
 
-The reference module evaluates hand-derived formulas for one worked field;
-the pipeline arrives at the same quantities through collocation operators
-and boundary value solves. Agreement across unrelated code paths is the
-strongest correctness evidence this package has, so the tolerances here
-are kept near rounding level.
+The reference module writes the worked field's vorticity and forcing as
+polynomials and solves each forcing block exactly, as a polynomial plus
+hyperbolic terms or, at small wavenumbers, as a power series of
+polynomials; the pipeline arrives at the same quantities through
+collocation operators, boundary value solves and Clenshaw-Curtis wall
+moments. Agreement across unrelated code paths is the strongest
+correctness evidence this package has, so the tolerances here are kept
+near rounding level. The inputs run from small wavenumbers, where the
+reference uses its series, to k = 60, and from Re = 1 to 1e4.
 """
 
+import numpy as np
 import pytest
 
 import compatflow as cf
+from compatflow import oracle
 
-TRIPLES = [(1.0, 1.0, 80.0), (2.0, 1.0, 100.0), (0.5, 3.0, 500.0)]
+TRIPLES = [(1.0, 1.0, 80.0), (2.0, 1.0, 100.0), (0.5, 3.0, 500.0), (0.01, 0.02, 50.0),
+           (1.0, 1.0, 1.0), (2.0, 1.0, 1e4), (30.0, 1.0, 80.0), (60.0, 1.0, 80.0)]
 G = cf.cheb_grid(64)
 
 # frozen values of the closed-form wall coefficients, (alpha, beta, Re) ->
@@ -57,7 +64,7 @@ def test_divergence_defect_closed_form(triple):
     assert (got - want).max_abs() < 1e-11 * want.max_abs()
 
 
-@pytest.mark.parametrize("triple", TRIPLES)
+@pytest.mark.parametrize("triple", FROZEN_CC)
 def test_wall_coefficients_frozen(triple):
     cc = cf.example_cc_coeffs(cf.FlowParams(*triple))
     x1, z1, x2 = FROZEN_CC[triple]
@@ -80,6 +87,34 @@ def test_wall_coefficients_match_pipeline(triple):
                 assert top[d, slot, j] == pytest.approx(
                     cc[t][j][k], rel=1e-9, abs=1e-9 * rep.forcing_max_abs
                 )
+
+
+# n = 64 resolves the wall layers, of width 1/(2jk), of the kernels of
+# check's wall moments up to about k = 100, to the bound example is held to
+@pytest.mark.parametrize("triple", [
+    (100.0, 1.0, 80.0), (100.0, 1.0, 1.0),
+    pytest.param((400.0, 1.0, 80.0), marks=pytest.mark.xfail(
+        strict=True, reason="the Clenshaw-Curtis moments miss the 1/(2k) wall layer"))])
+def test_divergence_defect_at_large_wavenumbers(triple):
+    p = cf.FlowParams(*triple)
+    got = cf.check(cf.example_field(p, G)).defect
+    want = cf.example_div_coeffs(p, G)
+    assert (got - want).max_abs() < 1e-9 * want.max_abs()
+
+
+@pytest.mark.parametrize("f, flux", [
+    ([1.0, 0.0, -1.0, 0.0, -1.0, 0.0, 1.0], None), ([0.0, -8.0, 0.0, -16.0, 0.0, 24.0], None),
+    ([24.0, 0.0, -24.0, 0.0, 1.0], None), ([0.0], (0.1, 0.1)),
+    ([-4.0, 0.0, 4.0, 0.0, 4.0, 0.0, -4.0], (0.0, 0.0)),
+    ([-4.0, 0.0, 4.0, 0.0, 4.0, 0.0, -4.0], (0.3, -0.7))])
+def test_series_meets_the_closed_form_at_the_threshold(f, flux):
+    """The example's kinds of blocks, Dirichlet and Neumann, solved just
+    below SMALL_A by the series and at it by the closed form."""
+    a = oracle.SMALL_A
+    series = oracle._helmholtz(f, np.nextafter(a, 0.0), G.y, flux)
+    closed = oracle._helmholtz(f, a, G.y, flux)
+    for got, want in zip(series, closed):
+        assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
 
 
 def test_defect_maxima_frozen():
