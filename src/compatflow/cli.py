@@ -219,9 +219,7 @@ def cmd_oss(args) -> int:
             file=sys.stderr,
         )
         return 1
-    field = mode_to_field(
-        modes[args.mode_index], args.amplitude, include_base=not args.no_base
-    )
+    field = mode_to_field(modes[args.mode_index], args.amplitude)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_json(
         {
@@ -238,10 +236,7 @@ def cmd_oss(args) -> int:
         os.path.join(args.out_dir, "oss_modes.json"),
     )
     save_field(field, os.path.join(args.out_dir, "mode_field.json"))
-    print(
-        f"wrote mode_field.json (mode {args.mode_index}, "
-        f"amplitude {args.amplitude}, base {'off' if args.no_base else 'on'})"
-    )
+    print(f"wrote mode_field.json (mode {args.mode_index}, amplitude {args.amplitude})")
     return 0
 
 
@@ -330,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, with_params=True)
     p.add_argument("--mode-index", type=int, default=0)
     p.add_argument("--amplitude", type=float, default=1e-3)
-    p.add_argument("--no-base", action="store_true", help="omit the parabolic base")
     p.set_defaults(fn=cmd_oss)
 
     p = sub.add_parser("find", help="search the ansatz for a compatible field")

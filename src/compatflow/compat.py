@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 
 import numpy as np
 
@@ -173,27 +174,37 @@ def _report_head(params: FlowParams, n: int) -> dict:
 
 @dataclass
 class CompatReport:
-    """Everything measured by check(), JSON-serializable via to_dict(),
-    with the defect and the forcing it was measured from."""
+    """What check() measured, JSON-serializable via to_dict(); the verdict,
+    parameters, scales and ratios are read from the six stored values."""
 
-    params: FlowParams
-    n: int
     tol_rel: float
-    verdict: str
     velocity_max_abs: float
-    forcing_max_abs: float
-    defect_max_abs: float
-    defect_l2: float
-    defect_rel_max: float
-    defect_rel_l2: float
-    tangential_max_abs: float
-    tangential_rel: float
+    forcing: WaveField = dfield(repr=False)
+    defect: HarmonicScalar = dfield(repr=False)
     # (wall, direction, slot, j) and the harmonics reported per direction,
     # as tangential_residual returns them
     tangential: np.ndarray
     tangential_live: np.ndarray
-    defect: HarmonicScalar = dfield(repr=False)
-    forcing: WaveField = dfield(repr=False)
+
+    params = property(lambda self: self.forcing.params)
+    n = property(lambda self: self.forcing.grid.n)
+    forcing_max_abs = cached_property(lambda self: self.forcing.max_abs())
+    defect_max_abs = cached_property(lambda self: self.defect.max_abs())
+    defect_l2 = cached_property(lambda self: self.defect.l2())
+    tangential_max_abs = cached_property(lambda self: float(np.max(np.abs(self.tangential))))
+
+    def _rel(self, value: float) -> float:
+        # the one rule of every ratio: 0 against a zero forcing
+        return value / self.forcing_max_abs if self.forcing_max_abs > 0 else 0.0
+
+    defect_rel_max = property(lambda self: self._rel(self.defect_max_abs))
+    defect_rel_l2 = property(lambda self: self._rel(self.defect_l2))
+    tangential_rel = property(lambda self: self._rel(self.tangential_max_abs))
+
+    @property
+    def verdict(self) -> str:
+        ok = self.defect_max_abs <= self.tol_rel * self.forcing_max_abs
+        return "compatible" if ok else "incompatible"
 
     def to_dict(self) -> dict:
         peaks = np.max(np.abs(self.defect.block.values), axis=-1)
@@ -236,60 +247,29 @@ def check(field: WaveField, tol_rel: float = DEFAULT_TOL_REL) -> CompatReport:
     """Run the full diagnostic on an admissible field.
 
     Raises ValidationError when the field violates no-slip or is not
-    divergence-free to DIVFREE_ERROR_RTOL (relative). The verdict compares
-    the divergence defect of du/dt against tol_rel times the forcing scale.
+    divergence-free to DIVFREE_ERROR_RTOL (relative), and NumericalError
+    when a scale of the result is not finite. The verdict compares the
+    divergence defect of du/dt against tol_rel times the forcing scale.
     """
     if not 0.0 <= tol_rel < np.inf:
         raise ConfigurationError(f"tolerance must be finite and >= 0, got {tol_rel}")
-    # overflow in the gradient and the products surfaces as inf/NaN in the
-    # two scales and is reported once, below, instead of as one warning per
-    # operation; a divergent input is warned about once, by require_admissible
+    # overflow anywhere surfaces as inf/NaN in the four scales and is
+    # reported once, below, instead of as one warning per operation; a
+    # divergent input is warned about once, by require_admissible
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.filterwarnings("ignore", "input field divergence", UserWarning)
         require_admissible(field)
         f = forcing(field)
-        fscale = f.max_abs()
-        defect = _defect(f)
-        dmax = defect.max_abs()
-    if not (np.isfinite(fscale) and np.isfinite(dmax)):
-        # NaN compares false against any tolerance, so it would pass as
-        # "compatible"
-        raise NumericalError(
-            f"non-finite result: forcing max-abs {fscale}, defect max-abs {dmax}"
-        )
-    dl2 = defect.l2()
-
-    lap = field.stacked.laplacian()
-    p = _wall_pressure(field, lap)
-    tres, live = tangential_residual(lap, p)
-    tmax = float(np.max(np.abs(tres)))
-    pmax = float(np.max(np.abs(p)))
-    if not (np.isfinite(pmax) and np.isfinite(tmax)):
-        # a NaN here would reach report.json as the invalid JSON token NaN
-        raise NumericalError(
-            f"non-finite result: wall pressure max-abs {pmax}, "
-            f"tangential residual max-abs {tmax}"
-        )
-
-    rel_max = dmax / fscale if fscale > 0 else 0.0
-    rel_l2 = dl2 / fscale if fscale > 0 else 0.0
-    verdict = "compatible" if dmax <= tol_rel * fscale else "incompatible"
-
-    return CompatReport(
-        params=field.params,
-        n=field.grid.n,
-        tol_rel=tol_rel,
-        verdict=verdict,
-        velocity_max_abs=field.max_abs(),
-        forcing_max_abs=fscale,
-        defect_max_abs=dmax,
-        defect_l2=dl2,
-        defect_rel_max=rel_max,
-        defect_rel_l2=rel_l2,
-        tangential_max_abs=tmax,
-        tangential_rel=tmax / fscale if fscale > 0 else 0.0,
-        tangential=tres,
-        tangential_live=live,
-        defect=defect,
-        forcing=f,
-    )
+        lap = field.stacked.laplacian()
+        p = _wall_pressure(field, lap)
+        report = CompatReport(tol_rel, field.max_abs(), f, _defect(f),
+                              *tangential_residual(lap, p))
+        scales = {"forcing": report.forcing_max_abs, "defect": report.defect_max_abs,
+                  "wall pressure": float(np.max(np.abs(p))),
+                  "tangential residual": report.tangential_max_abs}
+    # NaN compares false against any tolerance, so it would pass as
+    # "compatible", and it would reach report.json as the invalid token NaN
+    if not np.all(np.isfinite(list(scales.values()))):
+        raise NumericalError("non-finite result: " + ", ".join(
+            f"{name} max-abs {value}" for name, value in scales.items()))
+    return report

@@ -151,32 +151,21 @@ def load_field(path, n: int | None = None) -> WaveField:
                 raise _bad(where, f"unknown entry {key!r}")
 
         profs = {}
-        for name in ("u1", "u2"):
-            cobj = hobj.get(name)
-            if cobj is not None and not isinstance(cobj, dict):
-                raise _bad(f"{where}.{name}", "expected an object")
-            cobj = cobj or {}
-            _check_trig_keys(cobj, f"{where}.{name}")
-            profs[name] = (
-                _load_profile(cobj.get("cos"), grid, src_grid, f"{where}.{name}.cos"),
-                _load_profile(cobj.get("sin"), grid, src_grid, f"{where}.{name}.sin"),
-            )
-        u3obj = hobj.get("u3")
-        if u3obj is None or u3obj == "continuity":
-            profs["u3"] = _continuity_u3(params, j, profs["u1"], profs["u2"])
-        elif isinstance(u3obj, dict):
-            _check_trig_keys(u3obj, f"{where}.u3")
-            profs["u3"] = (
-                _load_profile(u3obj.get("cos"), grid, src_grid, f"{where}.u3.cos"),
-                _load_profile(u3obj.get("sin"), grid, src_grid, f"{where}.u3.sin"),
-            )
-        else:
-            raise _bad(f"{where}.u3", "expected an object or the string 'continuity'")
         for name in _COMPONENTS:
+            cobj, at = hobj.get(name), f"{where}.{name}"
+            if name == "u3" and (cobj is None or cobj == "continuity"):
+                profs[name] = _continuity_u3(params, j, profs["u1"], profs["u2"])
+            elif cobj is None or isinstance(cobj, dict):
+                cobj = cobj or {}
+                _check_trig_keys(cobj, at)
+                profs[name] = tuple(_load_profile(cobj.get(t), grid, src_grid, f"{at}.{t}")
+                                    for t in ("cos", "sin"))
+            else:
+                raise _bad(at, "expected an object or the string 'continuity'"
+                           if name == "u3" else "expected an object")
             # sin(0) = 0, so a j = 0 sine profile would be dropped unread
             if j == 0 and not profs[name][1].is_zero():
-                raise _bad(f"{where}.{name}.sin",
-                           "must be zero (harmonic 0 has no sine part)")
+                raise _bad(f"{at}.sin", "must be zero (harmonic 0 has no sine part)")
             comp_data[name][j] = profs[name]
 
     comps = [HarmonicScalar(params, grid, comp_data[name]) for name in _COMPONENTS]

@@ -41,7 +41,8 @@ class ModeResult:
     eigenvalue: complex
     vhat: YProfile
     params: FlowParams
-    grid: ChebGrid
+
+    grid = property(lambda self: self.vhat.grid)
 
 
 def poiseuille_base(params: FlowParams, grid: ChebGrid) -> WaveField:
@@ -157,20 +158,18 @@ def solve_orr_sommerfeld(params: FlowParams, n: int = 64) -> list[ModeResult]:
 
     V = _peak_normalized(_clamp_walls(grid, V[:, keep]))
     return [
-        ModeResult(complex(wi), YProfile(grid, v), params, grid)
+        ModeResult(complex(wi), YProfile(grid, v), params)
         for wi, v in zip(w[keep], V.T.copy())
     ]
 
 
-def mode_to_field(
-    mode: ModeResult, amplitude: float, include_base: bool = True
-) -> WaveField:
-    """Real velocity field of a mode at the given amplitude.
+def mode_to_field(mode: ModeResult, amplitude: float) -> WaveField:
+    """Real velocity field of a mode at the given amplitude on the
+    Poiseuille base: the j = 0 profile 1 - y^2 of u1.
 
     The wave part lives in harmonic 1: u2 comes from vhat, u1 and u3 from
     continuity together with zero wall-normal vorticity, which keeps the
-    field inside the single-phase representation. With include_base the
-    j = 0 Poiseuille profile is added to u1.
+    field inside the single-phase representation.
     """
     if not np.isfinite(amplitude):
         raise ConfigurationError(f"amplitude must be finite, got {amplitude}")
@@ -192,7 +191,4 @@ def mode_to_field(
     u1 = HarmonicScalar(params, grid, {1: pair(u1h)})
     u2 = HarmonicScalar(params, grid, {1: pair(vh)})
     u3 = HarmonicScalar(params, grid, {1: pair(u3h)})
-    field = WaveField(u1, u2, u3)
-    if include_base:
-        field = field + poiseuille_base(params, grid)
-    return field
+    return WaveField(u1, u2, u3) + poiseuille_base(params, grid)

@@ -64,10 +64,14 @@ def solve_bvp(spec: BVPSpec, grid: ChebGrid) -> YProfile:
         raise ConfigurationError("rhs profile lives on a different grid")
     n, k2, bc = grid.n, spec.helmholtz_k2, spec.bc_values
     rhs = spec.rhs.values
-    A = grid.D2 - k2 * np.eye(n)
+    # the interior rows are divided by the largest power of two <= k2 (1
+    # below k2 = 1), so their -k2 diagonal does not swamp the wall rows:
+    # exact, and nothing overflows
+    s = np.ldexp(1.0, np.frexp(max(1.0, k2))[1] - 1)
+    A = (grid.D2 - k2 * np.eye(n)) / s
     wall = np.eye(n) if spec.bc_kind == "dirichlet" else grid.D
     A[0], A[-1] = wall[0], wall[-1]
-    b = np.array(rhs, dtype=float)
+    b = np.array(rhs, dtype=float) / s
     b[..., 0], b[..., -1] = bc
     if spec.bc_kind == "neumann" and k2 == 0:
         # pure Neumann problem: check solvability row by row, then fix the

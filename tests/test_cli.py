@@ -48,7 +48,7 @@ def test_example_writes_expected_files(tmp_path):
         assert blocks[name] < 1e-9, name
 
 
-@pytest.mark.parametrize("alpha", ["100", "400"])
+@pytest.mark.parametrize("alpha", ["100", "400", "1e10", "1e50"])
 def test_example_cross_checks_large_wavenumbers(tmp_path, alpha):
     """The closed forms stay finite where exp(8 k) would overflow."""
     out = tmp_path / "out"
@@ -235,6 +235,28 @@ def test_check_refuses_non_finite_pressure(example_file, tmp_path, monkeypatch, 
     assert main(["check", str(example_file), "-o", str(out)]) == 1
     assert "tangential residual max-abs nan" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_check_refuses_non_finite_wall_pressure_once(example_file, monkeypatch):
+    """An infinite pressure source with a finite forcing: one error, inside
+    the same overflow guard as the forcing, that names all four scales."""
+    def inf_pressure(field):
+        inf = cf.YProfile(field.grid, np.full(field.grid.n, np.inf))
+        return cf.HarmonicScalar(field.params, field.grid,
+                                 {1: (inf, cf.YProfile.zero(field.grid))})
+
+    monkeypatch.setattr(compat, "pressure_rhs", inf_pressure)
+    field = load_field(example_file)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(cf.NumericalError) as err:
+            cf.check(field)
+    assert [str(w.message) for w in caught] == []
+    msg = str(err.value)
+    fscale = cf.forcing(field).max_abs()
+    assert msg.startswith(f"non-finite result: forcing max-abs {fscale}, defect max-abs ")
+    for name in ("wall pressure", "tangential residual"):
+        assert f"{name} max-abs inf" in msg or f"{name} max-abs nan" in msg, msg
 
 
 def test_check_tolerance_flag(example_file, tmp_path):

@@ -1,5 +1,6 @@
 """The compatibility check itself: verdicts, report contents, scaling."""
 
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -96,6 +97,21 @@ def test_check_raises_on_nan_profile():
     assert np.isnan(field.max_abs())
     with pytest.raises(cf.NumericalError, match="non-finite"):
         cf.check(field)
+
+
+def test_report_stores_only_what_check_measured():
+    """Six stored values; the scales, ratios and verdict are read from them."""
+    rep = cf.check(cf.example_field(PARAMS, G), tol_rel=1e-3)
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "tol_rel", "velocity_max_abs", "forcing", "defect", "tangential", "tangential_live"]
+    assert (rep.params, rep.n) == (PARAMS, G.n)
+    assert rep.forcing_max_abs == rep.forcing.max_abs()
+    assert rep.defect_rel_max == rep.defect.max_abs() / rep.forcing_max_abs
+    assert rep.defect_rel_l2 == rep.defect.l2() / rep.forcing_max_abs
+    assert rep.tangential_rel == np.max(np.abs(rep.tangential)) / rep.forcing_max_abs
+    assert rep.verdict == "incompatible"
+    rep.tol_rel = 2 * rep.defect_rel_max
+    assert rep.verdict == "compatible"
 
 
 def test_report_serializes():

@@ -182,7 +182,7 @@ class TestModeToField:
         vals = m.vhat.values.copy()
         vals[5] = np.nan
         bad = cf.ModeResult(eigenvalue=m.eigenvalue, vhat=cf.YProfile(m.grid, vals),
-                            params=m.params, grid=m.grid)
+                            params=m.params)
         with pytest.raises(cf.ConfigurationError, match="finite"):
             cf.mode_to_field(bad, 0.3)
 
@@ -197,15 +197,10 @@ class TestModeToField:
         with pytest.raises(cf.DomainError, match="alpha = beta = 0"):
             cf.mode_to_field(mode, 1e-3)
 
-    def test_without_base(self, modes):
-        u = cf.mode_to_field(modes[1], 0.5, include_base=False)
-        assert 0 not in u.u1.harmonics()
-        assert u.max_abs() > 0
-
     def test_streamwise_spanwise_ratio(self, modes):
         # both in-plane components come from the same derivative of vhat,
-        # weighted by their wavenumbers
-        u = cf.mode_to_field(modes[0], 1.0, include_base=False)
+        # weighted by their wavenumbers; the base lives in harmonic 0 only
+        u = cf.mode_to_field(modes[0], 1.0)
         a1, b1 = u.u1.get(1)
         a3, b3 = u.u3.get(1)
         r = PARAMS.beta / PARAMS.alpha

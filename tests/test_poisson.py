@@ -160,6 +160,28 @@ def test_dudt_mesh_convergence():
     assert np.max(np.abs(a48(G.y) - a64.values)) < 1e-10
 
 
+@pytest.mark.parametrize("alpha", [1e10, 1e50])
+def test_dudt_holds_the_walls_at_huge_wavenumbers(alpha):
+    """The interior rows are scaled down with k2, so their -k2 diagonal
+    does not swamp the unit wall rows (unscaled, the wall value at alpha =
+    1e10 is the profile's largest)."""
+    p = cf.FlowParams(alpha, 1.0, 80.0)
+    got = solve_dudt(cf.forcing(cf.example_field(p, G).strip_poly()))
+    want = cf.example_dudt(p, G)
+    assert (got - want).max_abs() <= 1e-12 * want.max_abs()
+    assert not np.any(got.stacked.block.values[..., [0, -1]])
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+def test_bvp_solves_at_the_largest_k2(kind):
+    # the scale is a power of two <= k2: 2.0 ** 1024 would overflow
+    spec = BVPSpec(1e308, cf.YProfile.from_poly(G, [1e300]), kind, (0.0, 0.0))
+    u = solve_bvp(spec, G).values
+    assert np.max(np.abs(u[1:-1] + 1e-8)) < 1e-20
+    if kind == "dirichlet":
+        assert u[0] == 0.0 and u[-1] == 0.0
+
+
 def test_pressure_gauge_and_flux():
     field = cf.example_field(PARAMS, G)
     p = solve_pressure(field)
