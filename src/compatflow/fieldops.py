@@ -53,12 +53,19 @@ class FlowParams:
             )
         if self.reynolds <= 0:
             raise ConfigurationError(f"reynolds must be positive, got {self.reynolds}")
-        # Python's ** raises OverflowError, and two finite squares can sum to inf
+        # Python's ** raises OverflowError, and two finite squares can sum to
+        # inf; a nonzero sum below the smallest normal float loses its digits
+        # or reads 0, while d/dx and d/dz still scale by alpha and beta
         with np.errstate(over="ignore"):
             k2 = np.square(float(self.alpha)) + np.square(float(self.beta))
         if not np.isfinite(k2):
             raise ConfigurationError(
                 f"alpha^2 + beta^2 must be finite, got alpha {self.alpha}, beta {self.beta}"
+            )
+        if k2 < np.finfo(float).tiny and (self.alpha or self.beta):
+            raise ConfigurationError(
+                f"alpha^2 + beta^2 must be 0 or at least {np.finfo(float).tiny:.3e}, "
+                f"got alpha {self.alpha}, beta {self.beta}"
             )
 
     @property

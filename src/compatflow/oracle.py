@@ -8,8 +8,10 @@ The example is a single-harmonic field with no streamwise component:
 
 (u3 follows from continuity, hence the 1/beta). Every stage of the
 diagnostic pipeline has an exact form for this field, used as an
-independent cross-check of the numerical pipeline. The vorticity and the
-forcing are polynomials in y, written out by hand. The time derivative,
+independent cross-check of the numerical pipeline. The field, its
+vorticity and its forcing are polynomials in y: each is one table of
+hand-derived coefficients keyed by (component, slot, harmonic), and one
+builder, _field, makes the field of a table. The time derivative,
 the divergence defect and the tangential wall residual all come from one
 routine, _helmholtz, which solves u'' - a^2 u = f for a polynomial f: a
 polynomial particular solution plus cosh and sinh ratios written in
@@ -99,91 +101,63 @@ def _helmholtz(f, a: float, y, flux=None):
             np.polyval(dup[::-1], y) + even * a * th * sh + odd * a / th * ch)
 
 
+def _field(params: FlowParams, grid: ChebGrid, table: dict) -> WaveField:
+    """The field whose profile in component c, (cos, sin) slot t and
+    harmonic j has the ascending coefficients table[c, t, j], and is zero
+    where the table has no entry."""
+    zero = YProfile.zero(grid)
+    prof = {k: YProfile.from_poly(grid, v) for k, v in table.items()}
+    pairs = [{j: (prof.get((c, 0, j), zero), prof.get((c, 1, j), zero))
+              for k, _, j in prof if k == c} for c in range(3)]
+    return WaveField(*(HarmonicScalar(params, grid, p) for p in pairs))
+
+
 def example_field(params: FlowParams, grid: ChebGrid) -> WaveField:
     """The example velocity field, with exact polynomial profiles."""
     _need_beta(params)
     be = params.beta
-    u1 = HarmonicScalar(params, grid)
-    u2 = HarmonicScalar(
-        params,
-        grid,
-        {1: (YProfile.from_poly(grid, [1.0, 0.0, -2.0, 0.0, 1.0]), YProfile.zero(grid))},
-    )
-    u3 = HarmonicScalar(
-        params,
-        grid,
-        {1: (YProfile.zero(grid), YProfile.from_poly(grid, [0.0, 4.0 / be, 0.0, -4.0 / be]))},
-    )
-    return WaveField(u1, u2, u3)
+    return _field(params, grid, {
+        # u2 = cos(theta) (y^2 - 1)^2
+        (1, 0, 1): [1.0, 0.0, -2.0, 0.0, 1.0],
+        # u3 = -4 y sin(theta) (y^2 - 1) / be
+        (2, 1, 1): [0.0, 4.0 / be, 0.0, -4.0 / be],
+    })
 
 
 def example_vorticity(params: FlowParams, grid: ChebGrid) -> WaveField:
     """curl of the example field, componentwise closed forms."""
     _need_beta(params)
     al, be = params.alpha, params.beta
-    zero = YProfile.zero(grid)
-    # w1 = sin(theta) (be^2 (y^2-1)^2 - 12 y^2 + 4) / be
-    w1b = YProfile.from_poly(
-        grid, np.array([be**2 + 4.0, 0.0, -2.0 * be**2 - 12.0, 0.0, be**2]) / be
-    )
-    # w2 = 4 al y cos(theta) (y^2 - 1) / be
-    w2a = YProfile.from_poly(grid, np.array([0.0, -4.0 * al, 0.0, 4.0 * al]) / be)
-    # w3 = -al sin(theta) (y^2 - 1)^2
-    w3b = YProfile.from_poly(grid, -al * np.array([1.0, 0.0, -2.0, 0.0, 1.0]))
-    w1 = HarmonicScalar(params, grid, {1: (zero, w1b)})
-    w2 = HarmonicScalar(params, grid, {1: (w2a, zero)})
-    w3 = HarmonicScalar(params, grid, {1: (zero, w3b)})
-    return WaveField(w1, w2, w3)
+    return _field(params, grid, {
+        # w1 = sin(theta) (be^2 (y^2-1)^2 - 12 y^2 + 4) / be
+        (0, 1, 1): np.array([be**2 + 4.0, 0.0, -2.0 * be**2 - 12.0, 0.0, be**2]) / be,
+        # w2 = 4 al y cos(theta) (y^2 - 1) / be
+        (1, 0, 1): np.array([0.0, -4.0 * al, 0.0, 4.0 * al]) / be,
+        # w3 = -al sin(theta) (y^2 - 1)^2
+        (2, 1, 1): -al * np.array([1.0, 0.0, -2.0, 0.0, 1.0]),
+    })
 
 
 def example_forcing(params: FlowParams, grid: ChebGrid) -> WaveField:
-    """Forcing of the du/dt Poisson problem for the example field.
-
-    Nonzero blocks: harmonic-2 sine of f1, harmonic-1 and harmonic-2
-    cosine of f2, harmonic-1 and harmonic-2 sine of f3. All polynomial."""
+    """Forcing of the du/dt Poisson problem for the example field: the sine
+    of f1 at harmonic 2, the cosine of f2 and the sine of f3 at harmonics 1
+    and 2, all polynomial."""
     _need_beta(params)
-    al, be, Re = params.alpha, params.beta, params.reynolds
-    k2 = params.k2
-    zero = YProfile.zero(grid)
-
-    # f1, harmonic 2, sine: -8 al (y^2-1)^2 (y^2+1)
-    B12 = YProfile.from_poly(
-        grid, -8.0 * al * np.array([1.0, 0.0, -1.0, 0.0, -1.0, 0.0, 1.0])
-    )
-    # f2, harmonic 1, cosine
-    A21 = YProfile.from_poly(
-        grid,
-        np.array([k2**2 + 8.0 * k2 + 24.0, 0.0, -(2.0 * k2**2 + 24.0 * k2), 0.0, k2**2])
-        / Re,
-    )
-    # f2, harmonic 2, cosine: 8 y (3 y^2 + 1)(y^2 - 1)
-    A22 = YProfile.from_poly(grid, np.array([0.0, -8.0, 0.0, -16.0, 0.0, 24.0]))
-    # f3, harmonic 1, sine: 4 y k2 (k2 (1 - y^2) + 12) / (Re be)
-    B31 = YProfile.from_poly(
-        grid,
-        np.array([0.0, 4.0 * k2 * (k2 + 12.0), 0.0, -4.0 * k2**2]) / (Re * be),
-    )
-    # f3, harmonic 2, sine
-    B32 = YProfile.from_poly(
-        grid,
-        np.array(
-            [
-                2.0 * al**2 + 1.0,
-                0.0,
-                6.0 - 2.0 * al**2,
-                0.0,
-                -(2.0 * al**2 + 15.0),
-                0.0,
-                2.0 * al**2,
-            ]
-        )
-        * (4.0 / be),
-    )
-
-    f1 = HarmonicScalar(params, grid, {2: (zero, B12)})
-    f2 = HarmonicScalar(params, grid, {1: (A21, zero), 2: (A22, zero)})
-    f3 = HarmonicScalar(params, grid, {1: (zero, B31), 2: (zero, B32)})
-    return WaveField(f1, f2, f3)
+    al, be, Re, k2 = params.alpha, params.beta, params.reynolds, params.k2
+    return _field(params, grid, {
+        # f1, harmonic 2, sine: -8 al (y^2-1)^2 (y^2+1)
+        (0, 1, 2): -8.0 * al * np.array([1.0, 0.0, -1.0, 0.0, -1.0, 0.0, 1.0]),
+        # f2, harmonic 1, cosine: (k2^2 (y^2-1)^2 + 8 k2 (1 - 3 y^2) + 24) / Re
+        (1, 0, 1): np.array([k2**2 + 8.0 * k2 + 24.0, 0.0, -(2.0 * k2**2 + 24.0 * k2), 0.0,
+                             k2**2]) / Re,
+        # f2, harmonic 2, cosine: 8 y (3 y^2 + 1)(y^2 - 1)
+        (1, 0, 2): np.array([0.0, -8.0, 0.0, -16.0, 0.0, 24.0]),
+        # f3, harmonic 1, sine: 4 y k2 (k2 (1 - y^2) + 12) / (Re be)
+        (2, 1, 1): np.array([0.0, 4.0 * k2 * (k2 + 12.0), 0.0, -4.0 * k2**2]) / (Re * be),
+        # f3, harmonic 2, sine: 4 (2 al^2 (y^2-1)^2 (y^2+1) + 1 + 6 y^2 - 15 y^4) / be
+        (2, 1, 2): np.array([2.0 * al**2 + 1.0, 0.0, 6.0 - 2.0 * al**2, 0.0,
+                             -(2.0 * al**2 + 15.0), 0.0, 2.0 * al**2]) * (4.0 / be),
+    })
 
 
 def _scalar(params: FlowParams, grid: ChebGrid, a: np.ndarray) -> HarmonicScalar:

@@ -64,7 +64,6 @@ from .errors import ConfigurationError, NumericalError
 from .fieldops import FlowParams, HarmonicScalar, WaveField, _continuity_u3
 from .spectral import ChebGrid, YProfile, cheb_grid, polymul
 
-RESIDUAL_HARMONICS = (1, 2)
 NONTRIVIAL_RTOL = 1e-3
 # the max-abs defect of a root, relative to the forcing's (find --tol)
 DEFAULT_TOL = 1e-10
@@ -141,7 +140,7 @@ def _defect_samples(field: WaveField):
     defect vanishes for every field (the test suite checks it), so it is
     not sampled."""
     f = forcing(field)
-    d = _defect(f).block.values[:, list(RESIDUAL_HARMONICS)][..., [0, -1]]
+    d = _defect(f).block.values[:, 1:3][..., [0, -1]]
     d = np.moveaxis(d, (1, 0), (-3, -2))
     return d.reshape(d.shape[:-3] + (-1,)), f
 
@@ -266,9 +265,16 @@ def find_compatible(
         # a start with no u2 in the null space has nowhere to go
         z, used, trace = _sphere_root(Q, z / norm) if norm > 0 else (z, 0, [])
         c[model.u2] = N @ z
-        field = assemble(spec, c, grid)
-        r_true, f = _defect_samples(field)
-        fscale = f.max_abs()
+        # overflow is reported once, below, as for the model
+        with np.errstate(over="ignore", invalid="ignore"):
+            field = assemble(spec, c, grid)
+            r_true, f = _defect_samples(field)
+            fscale, scale, u2_scale = f.max_abs(), field.l2(), field.u2.l2()
+        if not np.isfinite([fscale, scale, u2_scale]).all():
+            raise NumericalError(
+                f"search start {restart} is non-finite (forcing max-abs {fscale:.3e}, "
+                f"field L2 {scale:.3e}, u2 L2 {u2_scale:.3e}): the pipeline overflows at "
+                f"{spec.params}")
         if fscale > 0:
             rel = float(np.max(np.abs(r_true)) / fscale)
             gap = float(np.max(np.abs(model(c) - r_true)) / fscale)
@@ -277,8 +283,7 @@ def find_compatible(
         trace.append(float(np.max(np.abs(r_true))))
         # the u2 share of the volume-mean norm, as acceptance criterion 8
         # counts a root; a max-abs share can pass where this one fails
-        scale = field.l2()
-        nontrivial = scale > 0 and field.u2.l2() >= NONTRIVIAL_RTOL * scale
+        nontrivial = scale > 0 and u2_scale >= NONTRIVIAL_RTOL * scale
         candidate = SearchResult(
             success=bool(rel <= tol and nontrivial),
             coeffs=c,

@@ -472,6 +472,31 @@ def test_cli_rejects_overflowing_params(tmp_path, capsys, argv, why):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, why",
+    [(["find", "--alpha", "1e-100", "--beta", "1e-170"], "search start 0 is non-finite"),
+     (["find", "--alpha", "1e100", "--reynolds", "1e300"], "search start 0 is non-finite"),
+     (["example", "--alpha", "1e-200", "--beta", "1e-200"], "alpha^2 + beta^2 must be 0"),
+     (["oss", "--alpha", "1e-300", "--beta", "0"], "alpha^2 + beta^2 must be 0"),
+     (["check", "tiny.json"], "alpha^2 + beta^2 must be 0"),
+     (["validate", "tiny.json"], "alpha^2 + beta^2 must be 0")],
+    ids=["find-l2-overflow", "find-forcing-overflow", "example", "oss", "check", "validate"])
+def test_cli_refuses_extreme_wavenumbers(tmp_path, capsys, monkeypatch, argv, why):
+    # find warned and still wrote its files; at a nonzero alpha^2 + beta^2
+    # that reads 0, example and check met an unsolvable Neumann problem and
+    # oss blamed alpha = beta = 0
+    doc = {"schema_version": 1, "params": {"alpha": 1e-200, "beta": 1e-200, "reynolds": 80.0},
+           "n": 32, "harmonics": [{"j": 1, "u2": {"cos": {"poly": [1.0, 0.0, -2.0, 0.0, 1.0]}}}]}
+    (tmp_path / "tiny.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, module, name",
     [(["check", "field.json", "--n", "100000"], "compatflow.cli", "load_field"),
@@ -557,7 +582,9 @@ def test_oss_mode_index_out_of_range(tmp_path, capsys):
         rc = main(["oss", "--alpha", "1", "--beta", "1", "--reynolds", "80",
                    "--mode-index", index, "-o", str(tmp_path)])
         assert rc == 1
-        assert "index" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        kept = re.search(r"^kept (\d+) of", out, re.M).group(1)
+        assert err == f"error: mode index {index} out of range ({kept} resolved modes)\n"
         assert not any(tmp_path.iterdir())
 
 

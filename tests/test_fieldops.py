@@ -31,6 +31,20 @@ def test_wavenumbers_need_a_finite_k2(alpha, beta):
         cf.FlowParams(alpha, beta, 80.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1e-170, 0.0), (0.0, -1e-200), (1e-300, 1e-300),
+                                         (1.49e-154, 0.0)])
+def test_wavenumbers_need_a_normal_k2(alpha, beta):
+    # a nonzero alpha^2 + beta^2 below the smallest normal float reads 0 or
+    # loses digits, while d/dx and d/dz still scale by alpha and beta
+    with pytest.raises(cf.ConfigurationError, match=r"alpha\^2 \+ beta\^2 must be 0 or at least"):
+        cf.FlowParams(alpha, beta, 80.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.5e-154, 0.0), (1e-300, 1.0)])
+def test_zero_or_normal_k2_is_accepted(alpha, beta):
+    assert cf.FlowParams(alpha, beta, 80.0).k2 == alpha**2 + beta**2
+
+
 def test_constructor_rejects_negative_harmonic():
     zero = cf.YProfile.zero(GRID)
     with pytest.raises(cf.ConfigurationError):
